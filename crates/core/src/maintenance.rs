@@ -1,21 +1,44 @@
 //! The background maintenance (rotator) thread — §3.1, §3.2 and §3.4.
 //!
-//! The maintenance worker continuously runs depth-first traversals of the
-//! tree. At every node, in its own small transaction, it
+//! The maintenance worker runs depth-first traversals of the tree. At every
+//! node, each step in its own small transaction and only where it is due, it
 //!
 //! 1. **propagates** the estimated subtree heights (`left_h`, `right_h`,
 //!    `local_h`) from the children — the distributed balance information of
-//!    Bougé et al.,
+//!    Bougé et al. Only the maintenance thread writes heights, so a plain
+//!    comparison of the node's stored heights with its children's decides
+//!    whether a `propagate` transaction is needed at all; a child pointer
+//!    that comparison reads stale is caught by the next pass,
 //! 2. **physically removes** children that are logically deleted and have at
 //!    most one child (the second phase of the decoupled deletion of §3.2),
 //! 3. **rotates** children whose estimated heights differ by more than one —
 //!    either a classic in-place rotation (Algorithm 1 / the portable tree) or
 //!    the clone-based rotation of Figure 2(c) (Algorithm 2 / the optimized
-//!    tree).
+//!    tree). When the pivot leans the other way (its inner subtree is taller
+//!    than its outer one) the pivot is rotated outward first: the AVL double
+//!    rotation, built from two single-rotation transactions. A single
+//!    rotation would only mirror such a zig-zag imbalance, pass after pass.
+//!
+//! A tree left alone therefore reaches a true fixed point, where a pass
+//! opens no transaction.
 //!
 //! Nodes unlinked by removals and clone-based rotations are *retired* and
 //! recycled only once the quiescence condition of §3.4 holds (every abstract
 //! operation that was in flight when the pass started has finished).
+//!
+//! # Pacing
+//!
+//! The background thread spends time in proportion to the work it finds.
+//! After a pass that took `pass_time`, visited `visited` nodes and did
+//! `useful` work (rotations, removals and height propagations), it waits
+//! `min(8 × pass_time, pass_time × (visited / useful − 1))`, or
+//! `8 × pass_time` when nothing was useful, and never less than
+//! [`MaintenanceConfig::pass_delay`]. Passes thus run back to back while most
+//! nodes need work, and the duty cycle never falls below 1/9 while the tree
+//! is quiet. The wait is on a condition variable: stopping or pausing the
+//! thread ends it at once. The nodes a pass retired are recycled after the
+//! first `pass_delay` of the wait, once the operations in flight at the end
+//! of the pass have finished, so a long wait does not hold them back.
 //!
 //! # Hot-key restructuring
 //!
@@ -33,15 +56,17 @@
 //! cannot oscillate. Hot rotations reuse the same classic/clone rotation
 //! transactions as height balancing, so mutators see no new abort sources.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use parking_lot::{Condvar, Mutex};
 
 use sf_obs::{EventKind, FlightRecorder, Histogram, HistogramSnapshot};
 use sf_stm::{ThreadCtx, Transaction, TxResult};
 
-use crate::arena::NodeId;
+use crate::arena::{ActivitySnapshot, NodeId};
 use crate::node::{RemState, Side, SENTINEL_KEY};
 use crate::shared::TreeCore;
 
@@ -84,9 +109,10 @@ pub struct MaintenanceConfig {
     /// `|left_h - right_h| > threshold`. The paper (following AVL-style local
     /// balancing) uses 1.
     pub imbalance_threshold: i32,
-    /// Pause between consecutive traversals. On the paper's 48-core machine
-    /// the rotator owns a core; on smaller hosts a small pause keeps it from
-    /// starving the application threads.
+    /// Floor of the work-proportional wait between consecutive traversals
+    /// (see the [module docs](self#pacing)): the background thread waits at
+    /// least this long after every pass, however much work the pass found.
+    /// `Duration::ZERO` lets fully useful passes run back to back.
     pub pass_delay: Duration,
     /// When `false`, the worker propagates heights and removes deleted nodes
     /// but never rotates (used by the no-restructuring baseline when physical
@@ -201,6 +227,28 @@ pub struct PassReport {
     pub hot_rotations: u64,
 }
 
+impl PassReport {
+    /// Work that changed the tree: rotations, removals and propagations.
+    fn useful(&self) -> u64 {
+        self.rotations + self.removals + self.propagations
+    }
+}
+
+/// The wait after a pass that took `pass_time`, visited `visited` nodes and
+/// did `useful` work: `pass_time × (visited / useful − 1)`, capped at
+/// `8 × pass_time` (also the wait when nothing was useful) and never below
+/// `floor`.
+fn idle_wait(pass_time: Duration, visited: u64, useful: u64, floor: Duration) -> Duration {
+    let cap = pass_time.saturating_mul(8);
+    let wait = if useful == 0 {
+        cap
+    } else {
+        let idle_per_busy = (visited as f64 / useful as f64 - 1.0).max(0.0);
+        pass_time.mul_f64(idle_per_busy).min(cap)
+    };
+    wait.max(floor)
+}
+
 /// The maintenance worker. Drive it manually with [`MaintenanceWorker::run_pass`]
 /// (tests, deterministic experiments) or let it run in the background with
 /// [`MaintenanceWorker::spawn`].
@@ -257,23 +305,32 @@ impl MaintenanceWorker {
             && (self.passes + 1).is_multiple_of(self.config.hot_decay_passes);
         self.visit(self.core.root, Side::Left, &mut report, decay);
         self.visit(self.core.root, Side::Right, &mut report, decay);
-        if snapshot.has_drained() {
-            for id in self.retired.drain(..retired_before) {
-                self.core.arena.recycle(id);
-                report.recycled += 1;
-            }
-        }
+        report.recycled = self.recycle_retired(&snapshot, retired_before);
         self.passes = self.passes.wrapping_add(1);
         let stats = &self.core.stats;
         // sf-lint: allow(relaxed-atomic, maintenance telemetry counter; aggregated for reports only)
         stats.maintenance_passes.fetch_add(1, Ordering::Relaxed);
-        // sf-lint: allow(relaxed-atomic, maintenance telemetry counter; aggregated for reports only)
-        stats.recycled.fetch_add(report.recycled, Ordering::Relaxed);
         // Passes are rare relative to operations, so both pass histograms
         // record unconditionally (no sampling needed off the hot path).
         pass_duration_histogram().record_duration(started.elapsed());
         pass_work_histogram().record(report.rotations);
         report
+    }
+
+    /// Recycle the first `count` retired nodes — all retired before
+    /// `snapshot` was taken — if every operation in flight at the snapshot
+    /// has finished (§3.4). Returns the number recycled.
+    fn recycle_retired(&mut self, snapshot: &ActivitySnapshot, count: usize) -> u64 {
+        if !snapshot.has_drained() {
+            return 0;
+        }
+        for id in self.retired.drain(..count) {
+            self.core.arena.recycle(id);
+        }
+        let stats = &self.core.stats;
+        // sf-lint: allow(relaxed-atomic, maintenance telemetry counter; aggregated for reports only)
+        stats.recycled.fetch_add(count as u64, Ordering::Relaxed);
+        count as u64
     }
 
     /// Keep running passes until nothing changes anymore (no rotation, no
@@ -283,57 +340,49 @@ impl MaintenanceWorker {
     pub fn run_until_stable(&mut self, max_passes: usize) -> usize {
         for pass in 0..max_passes {
             let report = self.run_pass();
-            if report.rotations == 0
-                && report.removals == 0
-                && report.propagations == 0
-                && report.recycled == 0
-            {
+            if report.useful() == 0 && report.recycled == 0 {
                 return pass + 1;
             }
         }
         max_passes
     }
 
-    /// Move the worker to a dedicated background thread that runs passes until
-    /// the returned handle is stopped or dropped.
+    /// Move the worker to a dedicated background thread that runs passes,
+    /// paced by the work they find (see the [module docs](self#pacing)),
+    /// until the returned handle is stopped or dropped.
     pub fn spawn(self) -> MaintenanceHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_clone = Arc::clone(&stop);
-        let pause = Arc::new(PauseState::default());
-        let pause_clone = Arc::clone(&pause);
-        let pass_delay = self.config.pass_delay;
+        let control = Arc::new(Control::default());
+        let thread_control = Arc::clone(&control);
+        let floor = self.config.pass_delay;
         let mut worker = self;
         let join = std::thread::Builder::new()
             .name("sf-tree-maintenance".to_string())
             .stack_size(16 << 20)
             .spawn(move || {
-                // sf-lint: allow(relaxed-atomic, stop flag polled once per pass; a stale read only delays shutdown by one iteration)
-                while !stop_clone.load(Ordering::Relaxed) {
-                    if pause_clone.requested.load(Ordering::SeqCst) > 0 {
-                        pause_clone.idle.store(true, Ordering::SeqCst);
-                        while pause_clone.requested.load(Ordering::SeqCst) > 0
-                            // sf-lint: allow(relaxed-atomic, stop flag; a stale read only delays pause-loop exit by one spin)
-                            && !stop_clone.load(Ordering::Relaxed)
-                        {
-                            std::thread::yield_now();
-                        }
-                        pause_clone.idle.store(false, Ordering::SeqCst);
+                while thread_control.park_while_paused() {
+                    let started = Instant::now();
+                    let report = worker.run_pass();
+                    let wait = idle_wait(started.elapsed(), report.visited, report.useful(), floor);
+                    if wait.is_zero() {
+                        std::thread::yield_now();
                         continue;
                     }
-                    worker.run_pass();
-                    if !pass_delay.is_zero() {
-                        std::thread::sleep(pass_delay);
-                    } else {
-                        std::thread::yield_now();
-                    }
+                    // The operations in flight now finish long before a long
+                    // wait ends: recycle what this pass retired after the
+                    // floor, not after the next pass.
+                    let snapshot = worker.core.arena.activity_snapshot();
+                    let retired = worker.retired.len();
+                    thread_control.idle_for(floor);
+                    worker.recycle_retired(&snapshot, retired);
+                    thread_control.idle_for(wait - floor);
                 }
                 // Once the thread exits, pausers must never wait on it again.
-                pause_clone.idle.store(true, Ordering::SeqCst);
+                thread_control.state.lock().idle = true;
+                thread_control.wake.notify_all();
             })
             .expect("failed to spawn maintenance thread");
         MaintenanceHandle {
-            stop,
-            pause,
+            control,
             join: Some(join),
         }
     }
@@ -366,7 +415,7 @@ impl MaintenanceWorker {
                 return;
             }
         }
-        if self.propagate(child) {
+        if !self.heights_current(child) && self.propagate(child) {
             report.propagations += 1;
             // sf-lint: allow(relaxed-atomic, maintenance telemetry counter; aggregated for reports only)
             self.core.stats.propagations.fetch_add(1, Ordering::Relaxed);
@@ -395,9 +444,9 @@ impl MaintenanceWorker {
         let threshold = self.config.imbalance_threshold;
         if !hot {
             if balance > threshold {
-                self.try_rotate(parent, side, Side::Right, report, false);
+                self.rebalance(parent, side, child, Side::Right, report);
             } else if balance < -threshold {
-                self.try_rotate(parent, side, Side::Left, report, false);
+                self.rebalance(parent, side, child, Side::Left, report);
             }
             return;
         }
@@ -409,16 +458,64 @@ impl MaintenanceWorker {
         // negation of the lift condition, so the two rules never oscillate.
         let extended = threshold.saturating_add(self.config.hot_slack.max(0));
         if balance > extended {
-            self.try_rotate(parent, side, Side::Right, report, false);
+            self.rebalance(parent, side, child, Side::Right, report);
         } else if balance < -extended {
-            self.try_rotate(parent, side, Side::Left, report, false);
+            self.rebalance(parent, side, child, Side::Left, report);
         } else if let Some(direction) = self.hot_rotation_direction(child) {
             self.try_rotate(parent, side, direction, report, true);
         } else if balance > threshold && !self.sinks_dominant_mass(child, Side::Right) {
-            self.try_rotate(parent, side, Side::Right, report, false);
+            self.rebalance(parent, side, child, Side::Right, report);
         } else if balance < -threshold && !self.sinks_dominant_mass(child, Side::Left) {
-            self.try_rotate(parent, side, Side::Left, report, false);
+            self.rebalance(parent, side, child, Side::Left, report);
         }
+    }
+
+    /// Whether the stored balance fields of `id` already match its children's
+    /// stored heights, so propagating would change nothing. Plain loads are
+    /// enough: only this thread writes heights, and a child pointer read
+    /// stale here is caught by the next pass.
+    fn heights_current(&self, id: NodeId) -> bool {
+        let node = self.core.node(id);
+        let left = self.stored_height(node.left.unsync_load());
+        let right = self.stored_height(node.right.unsync_load());
+        node.left_h.unsync_load() == left
+            && node.right_h.unsync_load() == right
+            && node.local_h.unsync_load() == 1 + left.max(right)
+    }
+
+    /// Stored height of the subtree rooted at `id` (`0` for ⊥), read plainly.
+    fn stored_height(&self, id: NodeId) -> i32 {
+        if id.is_nil() {
+            0
+        } else {
+            self.core.node(id).local_h.unsync_load()
+        }
+    }
+
+    /// Height-driven rotation of the child of `parent` on `side` in
+    /// `direction`. When the pivot leans the other way (its inner subtree is
+    /// taller than its outer one), a single rotation would only mirror the
+    /// imbalance, so the pivot is first rotated outward: the AVL double
+    /// rotation, built from two single-rotation transactions.
+    fn rebalance(
+        &mut self,
+        parent: NodeId,
+        side: Side,
+        child: NodeId,
+        direction: Side,
+        report: &mut PassReport,
+    ) {
+        let heavy_side = direction.other();
+        let pivot_id = self.core.node(child).child(heavy_side).unsync_load();
+        if !pivot_id.is_nil() {
+            let pivot = self.core.node(pivot_id);
+            if pivot.child_height(direction).unsync_load()
+                > pivot.child_height(heavy_side).unsync_load()
+            {
+                self.try_rotate(child, heavy_side, heavy_side, report, false);
+            }
+        }
+        self.try_rotate(parent, side, direction, report, false);
     }
 
     /// Perform one rotation and account for it.
@@ -754,14 +851,64 @@ impl MaintenanceWorker {
     }
 }
 
-/// Pause coordination between a [`MaintenanceHandle`] and its thread.
+/// Stop and pause coordination between a [`MaintenanceHandle`] and its
+/// thread.
+#[derive(Debug)]
+struct Control {
+    state: Mutex<ControlState>,
+    /// Signalled on every state change: stop, pause request or release, and
+    /// the thread parking.
+    wake: Condvar,
+}
+
 #[derive(Debug, Default)]
-struct PauseState {
+struct ControlState {
+    stop: bool,
     /// Number of outstanding [`MaintenancePause`] guards.
-    requested: AtomicUsize,
+    pause_requests: usize,
     /// Set by the thread while it is parked between passes (and permanently
     /// once it exits).
-    idle: AtomicBool,
+    idle: bool,
+}
+
+impl Default for Control {
+    fn default() -> Self {
+        Control {
+            state: Mutex::named(ControlState::default(), "maintenance.control"),
+            wake: Condvar::new(),
+        }
+    }
+}
+
+impl Control {
+    /// Called by the thread before each pass: park while a pause is
+    /// requested. Returns `false` once the thread must stop.
+    fn park_while_paused(&self) -> bool {
+        let mut state = self.state.lock();
+        if state.pause_requests > 0 && !state.stop {
+            state.idle = true;
+            self.wake.notify_all();
+            while state.pause_requests > 0 && !state.stop {
+                self.wake.wait(&mut state);
+            }
+            state.idle = false;
+        }
+        !state.stop
+    }
+
+    /// Wait up to `wait` between passes, returning early on a stop or pause
+    /// request.
+    fn idle_for(&self, wait: Duration) {
+        let deadline = Instant::now() + wait;
+        let mut state = self.state.lock();
+        while !state.stop && state.pause_requests == 0 {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            self.wake.wait_for(&mut state, deadline - now);
+        }
+    }
 }
 
 /// Guard returned by [`MaintenanceHandle::pause`]. While it is alive the
@@ -769,12 +916,13 @@ struct PauseState {
 /// dropping it resumes maintenance.
 #[derive(Debug)]
 pub struct MaintenancePause<'a> {
-    state: &'a PauseState,
+    control: &'a Control,
 }
 
 impl Drop for MaintenancePause<'_> {
     fn drop(&mut self) {
-        self.state.requested.fetch_sub(1, Ordering::SeqCst);
+        self.control.state.lock().pause_requests -= 1;
+        self.control.wake.notify_all();
     }
 }
 
@@ -782,14 +930,13 @@ impl Drop for MaintenancePause<'_> {
 /// the handle terminates the thread.
 #[derive(Debug)]
 pub struct MaintenanceHandle {
-    stop: Arc<AtomicBool>,
-    pause: Arc<PauseState>,
+    control: Arc<Control>,
     join: Option<JoinHandle<()>>,
 }
 
 impl MaintenanceHandle {
     /// Ask the maintenance thread to stop and wait for it to finish its
-    /// current pass.
+    /// current pass. A thread waiting between passes stops at once.
     pub fn stop(mut self) {
         self.stop_inner();
     }
@@ -800,16 +947,20 @@ impl MaintenanceHandle {
     /// stable tree. Pauses nest: maintenance resumes when the last guard
     /// drops.
     pub fn pause(&self) -> MaintenancePause<'_> {
-        self.pause.requested.fetch_add(1, Ordering::SeqCst);
-        while !self.pause.idle.load(Ordering::SeqCst) {
-            std::thread::yield_now();
+        let mut state = self.control.state.lock();
+        state.pause_requests += 1;
+        self.control.wake.notify_all();
+        while !state.idle {
+            self.control.wake.wait(&mut state);
         }
-        MaintenancePause { state: &self.pause }
+        MaintenancePause {
+            control: &self.control,
+        }
     }
 
     fn stop_inner(&mut self) {
-        // sf-lint: allow(relaxed-atomic, stop flag; the thread join below provides the happens-before edge)
-        self.stop.store(true, Ordering::Relaxed);
+        self.control.state.lock().stop = true;
+        self.control.wake.notify_all();
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
@@ -1127,5 +1278,169 @@ mod tests {
                 assert_eq!(live, expected.iter().copied().collect::<Vec<_>>());
             }
         }
+    }
+
+    /// A worker of `style` over a fresh tree holding `keys`, inserted in the
+    /// given order.
+    fn worker_over(style: MaintenanceStyle, keys: &[u64]) -> MaintenanceWorker {
+        let stm = Stm::default_config();
+        match style {
+            MaintenanceStyle::Classic => {
+                let tree = SpecFriendlyTree::new();
+                let mut h = tree.register(stm.register());
+                for &k in keys {
+                    assert!(tree.insert(&mut h, k, k));
+                }
+                tree.maintenance_worker(stm.register())
+            }
+            MaintenanceStyle::CloneBased => {
+                let tree = OptSpecFriendlyTree::new();
+                let mut h = tree.register(stm.register());
+                for &k in keys {
+                    assert!(tree.insert(&mut h, k, k));
+                }
+                tree.maintenance_worker(stm.register())
+            }
+        }
+    }
+
+    /// Check the subtree at `id` bottom-up: every stored height equals the
+    /// true height and sibling heights differ by at most one. Returns the
+    /// subtree's height.
+    fn assert_avl_heights(core: &TreeCore, id: NodeId) -> i32 {
+        if id.is_nil() {
+            return 0;
+        }
+        let node = core.node(id);
+        let left = assert_avl_heights(core, node.left.unsync_load());
+        let right = assert_avl_heights(core, node.right.unsync_load());
+        let local = 1 + left.max(right);
+        assert_eq!(
+            (
+                node.left_h.unsync_load(),
+                node.right_h.unsync_load(),
+                node.local_h.unsync_load()
+            ),
+            (left, right, local),
+            "stored heights of key {}",
+            node.key()
+        );
+        assert!(
+            (left - right).abs() <= 1,
+            "key {} is unbalanced: {left} vs {right}",
+            node.key()
+        );
+        local
+    }
+
+    /// Distinct keys in a seeded pseudo-random insertion order.
+    fn shuffled_keys(n: u64) -> Vec<u64> {
+        let mut keys: Vec<u64> = (0..n).collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..keys.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            keys.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        keys
+    }
+
+    /// Run passes to the fixed point and check it is a true one: one more
+    /// pass does nothing and the tree is AVL-balanced with exact heights.
+    fn assert_reaches_balanced_fixed_point(style: MaintenanceStyle, keys: &[u64]) {
+        const CAP: usize = 4096;
+        let mut worker = worker_over(style, keys);
+        let passes = worker.run_until_stable(CAP);
+        assert!(passes < CAP, "{style:?}: no fixed point in {CAP} passes");
+        let report = worker.run_pass();
+        assert_eq!(
+            (report.rotations, report.propagations),
+            (0, 0),
+            "{style:?}: a pass at the fixed point still works: {report:?}"
+        );
+        let top = worker.core.node(worker.core.root).left.unsync_load();
+        let height = assert_avl_heights(&worker.core, top);
+        let bound = 1.4405 * (keys.len() as f64 + 2.0).log2();
+        assert!(
+            f64::from(height) <= bound,
+            "{style:?}: height {height} over the AVL bound {bound:.2}"
+        );
+    }
+
+    const STYLES: [MaintenanceStyle; 2] = [MaintenanceStyle::Classic, MaintenanceStyle::CloneBased];
+
+    #[test]
+    fn random_tree_reaches_a_balanced_fixed_point() {
+        for style in STYLES {
+            assert_reaches_balanced_fixed_point(style, &shuffled_keys(4096));
+        }
+    }
+
+    #[test]
+    fn sorted_chain_reaches_a_balanced_fixed_point() {
+        let keys: Vec<u64> = (0..256).collect();
+        for style in STYLES {
+            assert_reaches_balanced_fixed_point(style, &keys);
+        }
+    }
+
+    #[test]
+    fn zig_zag_reaches_a_balanced_fixed_point() {
+        for style in STYLES {
+            assert_reaches_balanced_fixed_point(style, &[3, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn idle_wait_follows_the_useful_share_of_a_pass() {
+        let pass = Duration::from_millis(10);
+        let floor = Duration::from_micros(100);
+        // Every visited node needed work: only the floor.
+        assert_eq!(idle_wait(pass, 100, 100, floor), floor);
+        assert_eq!(idle_wait(pass, 100, 250, floor), floor);
+        // Half the nodes needed work: idle as long as the pass ran.
+        assert_eq!(idle_wait(pass, 100, 50, floor), pass);
+        // Nothing, or almost nothing, needed work: the 8 × pass cap.
+        assert_eq!(idle_wait(pass, 100, 0, floor), pass * 8);
+        assert_eq!(idle_wait(pass, 1_000_000, 1, floor), pass * 8);
+        assert_eq!(idle_wait(Duration::ZERO, 100, 0, floor), floor);
+        // The floor wins over a shorter proportional wait.
+        let long_floor = Duration::from_secs(1);
+        assert_eq!(idle_wait(pass, 100, 0, long_floor), long_floor);
+    }
+
+    #[test]
+    fn pause_and_stop_end_the_idle_wait() {
+        let stm = Stm::default_config();
+        let tree = OptSpecFriendlyTree::new();
+        let mut h = tree.register(stm.register());
+        for k in 0..16u64 {
+            tree.insert(&mut h, k, k);
+        }
+        let maintenance = tree.start_maintenance_with(
+            stm.register(),
+            MaintenanceConfig {
+                pass_delay: Duration::from_secs(60),
+                ..MaintenanceConfig::default()
+            },
+        );
+        // sf-lint: allow(relaxed-atomic, test polls a telemetry counter until the first pass completes)
+        let passes = || tree.stats().maintenance_passes.load(Ordering::Relaxed);
+        while passes() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The thread now idles for at least 60 s.
+        let prompt = Duration::from_secs(10);
+        let started = Instant::now();
+        let pause = maintenance.pause();
+        assert!(started.elapsed() < prompt, "pause waited out the idle wait");
+        let parked_at = passes();
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(passes(), parked_at, "no pass runs while paused");
+        drop(pause);
+        let started = Instant::now();
+        maintenance.stop();
+        assert!(started.elapsed() < prompt, "stop waited out the idle wait");
     }
 }

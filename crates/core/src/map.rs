@@ -97,6 +97,11 @@ pub trait TxMapInTx: Send + Sync {
             return Ok(false);
         }
         let removed = self.tx_delete(tx, from)?;
+        if !removed {
+            // A doomed attempt can reach this through unit reads; only one
+            // whose reads still validate has really lost its source key.
+            tx.revalidate()?;
+        }
         debug_assert!(removed, "source key vanished inside the same transaction");
         Ok(true)
     }

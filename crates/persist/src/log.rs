@@ -81,9 +81,6 @@ use sf_tree::{Key, Value};
 use crate::record::{write_frame, WalRecord};
 use crate::stats::LogStats;
 
-#[cfg(test)]
-use crate::stats;
-
 /// Name of the durable checkpoint image inside a log directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.ck";
 /// Scratch name the checkpoint is written under before the atomic rename.
@@ -275,7 +272,7 @@ impl WalShared {
     /// This log's own statistics (counters and latency histograms), scoped
     /// to this instance: concurrent logs — other shards, other tests — do
     /// not show up here. The process-wide aggregate stays available through
-    /// [`stats::snapshot`].
+    /// [`crate::stats::snapshot`].
     pub fn stats(&self) -> &LogStats {
         &self.stats
     }
@@ -951,13 +948,15 @@ mod tests {
             },
         )
         .unwrap();
-        let before = stats::snapshot();
+        // This log's own counters: sibling tests' logs write the
+        // process-wide aggregate concurrently.
+        let before = wal.stats().snapshot();
         let mut last = 0;
         for i in 1..=16u64 {
             last = wal.enqueue(record(i, i));
         }
         wal.sync_to(last);
-        let delta = stats::snapshot().delta_since(&before);
+        let delta = wal.stats().snapshot().delta_since(&before);
         assert_eq!(delta.records, 16);
         assert!(delta.writer_batches >= 1, "writer thread flushed");
         assert!(

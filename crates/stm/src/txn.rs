@@ -164,6 +164,19 @@ impl<'env> Transaction<'env> {
         Err(Abort::explicit())
     }
 
+    /// Check now that nothing this attempt read has changed since, aborting
+    /// it (as a read-set validation failure) if something has. Unit reads
+    /// are not opaque, so a doomed attempt can observe state its read set
+    /// does not; code that asserts an invariant across two traversals calls
+    /// this first, so only a still-valid attempt can trip the assertion.
+    pub fn revalidate(&self) -> TxResult<()> {
+        if self.validate() {
+            Ok(())
+        } else {
+            Err(Abort::new(AbortReason::CommitValidation))
+        }
+    }
+
     /// Register an action to run if (and only if) this attempt commits.
     ///
     /// Typical use: freeing memory that the transaction logically deleted —
@@ -638,6 +651,21 @@ mod tests {
         other.commit().unwrap();
         let err = t.read(&b).unwrap_err();
         assert_eq!(err.reason, AbortReason::ReadVersion);
+        t.rollback();
+    }
+
+    #[test]
+    fn revalidate_aborts_once_a_read_location_changes() {
+        let clock = GlobalClock::new();
+        let a = TCell::new(1u64);
+        let mut t = tx(&clock, LockAcquisition::CommitTime);
+        assert_eq!(t.read(&a).unwrap(), 1);
+        assert!(t.revalidate().is_ok());
+        let mut other = tx(&clock, LockAcquisition::CommitTime);
+        other.write(&a, 10).unwrap();
+        other.commit().unwrap();
+        let err = t.revalidate().unwrap_err();
+        assert_eq!(err.reason, AbortReason::CommitValidation);
         t.rollback();
     }
 

@@ -855,12 +855,21 @@ mod tests {
 
     #[test]
     fn stats_reset_and_aggregate_across_sessions() {
-        let backend = Backend::build("sftree-opt-sharded2", StmConfig::ctl()).unwrap();
+        // Built as the registry builds "sftree-opt-sharded2", keeping the map
+        // so the shards' maintenance can be parked: a rotator committing
+        // between the reset and the read would otherwise show up.
+        let map = Arc::new(ShardedMap::optimized_with(
+            2,
+            StmConfig::ctl(),
+            registry_maintenance_config_hot(false),
+        ));
+        let backend = Backend::assemble_sharded(Arc::clone(&map));
         let mut session = backend.session();
         for key in 0..32u64 {
             session.insert(key, key);
         }
         assert!(backend.stats().commits >= 32);
+        let _parked = map.pause_maintenance();
         backend.reset_stats();
         assert_eq!(backend.stats().commits, 0);
     }

@@ -116,7 +116,12 @@ fn token_conservation_under_concurrent_moves() {
             }
         }
     }
-    let before = tree.len_quiescent();
+    // The counting walk reads plain pointers: park the rotator, which is
+    // still rebalancing the ascending inserts, while it runs.
+    let before = {
+        let _paused = maintenance.pause();
+        tree.len_quiescent()
+    };
     let workers: Vec<_> = (0..3u64)
         .map(|t| {
             let tree = Arc::clone(&tree);
