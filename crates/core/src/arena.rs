@@ -5,7 +5,12 @@
 //! while concurrent operations may still be traversing them, and defer
 //! reclamation until every operation that could have seen the node has
 //! finished (§3.4: the rotator thread snapshots per-thread pending flags and
-//! operation counters before recycling). The safe-Rust equivalent built here:
+//! operation counters before recycling). Here each thread's pending flag and
+//! counter share one word: a sequence number that the thread bumps when an
+//! operation starts and again when it ends, so it is odd exactly while an
+//! operation is in flight. Bracketing an operation costs two stores (no
+//! read-modify-write) by the word's only writer, and a snapshot reads one
+//! word per thread. The safe-Rust equivalent built here:
 //!
 //! * slots live in fixed-size chunks that are allocated on demand and never
 //!   moved or freed while the arena is alive, so `&T` obtained from an id is
@@ -14,7 +19,7 @@
 //! * retired slots are *recycled* through a free list rather than returned to
 //!   the allocator, and only after the quiescence condition of §3.4 holds.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crossbeam::queue::SegQueue;
@@ -65,17 +70,18 @@ const CHUNK_SIZE: usize = 1024;
 const DEFAULT_CHUNKS: usize = 8192;
 
 /// Per-thread activity slot used for the quiescence protocol of §3.4: a
-/// pending flag raised for the duration of each abstract operation and a
-/// counter of completed operations.
+/// sequence number bumped once when each abstract operation starts and once
+/// when it ends, so it is odd exactly while an operation is in flight. Only
+/// the owning [`ActivityHandle`] writes it.
 #[derive(Debug, Default)]
 pub struct ActivitySlot {
-    pending: AtomicBool,
-    completed: AtomicU64,
+    seq: AtomicU64,
 }
 
 /// Handle held by an application thread; brackets abstract operations so the
 /// maintenance thread can tell when the nodes it retired are safe to recycle.
-#[derive(Debug, Clone)]
+/// Not `Clone`: each slot has exactly one writer.
+#[derive(Debug)]
 pub struct ActivityHandle {
     slot: Arc<ActivitySlot>,
 }
@@ -84,8 +90,16 @@ impl ActivityHandle {
     /// Mark the start of an abstract operation. The returned guard marks its
     /// completion when dropped.
     pub fn begin(&self) -> OpGuard<'_> {
-        self.slot.pending.store(true, Ordering::SeqCst);
-        OpGuard { slot: &self.slot }
+        // sf-lint: allow(relaxed-atomic, the handle is the slot's only writer, so it reads back its own last store)
+        let seq = self.slot.seq.load(Ordering::Relaxed) + 1;
+        // SeqCst, like the snapshot's load: either the snapshot sees this
+        // operation in flight, or the operation starts after the unlinks
+        // that preceded the snapshot.
+        self.slot.seq.store(seq, Ordering::SeqCst);
+        OpGuard {
+            slot: &self.slot,
+            seq,
+        }
     }
 }
 
@@ -93,12 +107,16 @@ impl ActivityHandle {
 #[derive(Debug)]
 pub struct OpGuard<'a> {
     slot: &'a ActivitySlot,
+    /// The odd sequence number stored by [`ActivityHandle::begin`].
+    seq: u64,
 }
 
 impl Drop for OpGuard<'_> {
     fn drop(&mut self) {
-        self.slot.completed.fetch_add(1, Ordering::SeqCst);
-        self.slot.pending.store(false, Ordering::SeqCst);
+        // Release pairs with the load in `has_drained`: once the maintenance
+        // thread sees the sequence move, every read this operation made of a
+        // retired node happens before that node is recycled.
+        self.slot.seq.store(self.seq + 1, Ordering::Release);
     }
 }
 
@@ -106,18 +124,18 @@ impl Drop for OpGuard<'_> {
 /// thread before it starts retiring nodes.
 #[derive(Debug)]
 pub struct ActivitySnapshot {
-    entries: Vec<(Arc<ActivitySlot>, bool, u64)>,
+    entries: Vec<(Arc<ActivitySlot>, u64)>,
 }
 
 impl ActivitySnapshot {
     /// The quiescence condition of §3.4: for every thread, either no
-    /// operation was pending at snapshot time or at least one operation has
-    /// completed since, which implies every operation that was in flight when
-    /// the snapshot was taken has finished.
+    /// operation was in flight at snapshot time (even sequence) or the
+    /// sequence has moved since, which implies the operation that was in
+    /// flight when the snapshot was taken has finished.
     pub fn has_drained(&self) -> bool {
-        self.entries.iter().all(|(slot, pending, completed)| {
-            !*pending || slot.completed.load(Ordering::SeqCst) > *completed
-        })
+        self.entries
+            .iter()
+            .all(|(slot, snap)| snap & 1 == 0 || slot.seq.load(Ordering::SeqCst) != *snap)
     }
 }
 
@@ -234,13 +252,7 @@ impl<T: Default> TxArena<T> {
         ActivitySnapshot {
             entries: slots
                 .iter()
-                .map(|s| {
-                    (
-                        Arc::clone(s),
-                        s.pending.load(Ordering::SeqCst),
-                        s.completed.load(Ordering::SeqCst),
-                    )
-                })
+                .map(|s| (Arc::clone(s), s.seq.load(Ordering::SeqCst)))
                 .collect(),
         }
     }

@@ -3,10 +3,10 @@
 //! The maintenance worker runs depth-first traversals of the tree. At every
 //! node, each step in its own small transaction and only where it is due, it
 //!
-//! 1. **propagates** the estimated subtree heights (`left_h`, `right_h`,
-//!    `local_h`) from the children — the distributed balance information of
-//!    Bougé et al. Only the maintenance thread writes heights, so a plain
-//!    comparison of the node's stored heights with its children's decides
+//! 1. **propagates** the estimated subtree heights (the packed `left`,
+//!    `right` and `local` fields of [`Heights`]) from the children — the
+//!    distributed balance information of Bougé et al. Only the maintenance
+//!    thread writes heights, so a plain comparison of the node's stored heights with its children's decides
 //!    whether a `propagate` transaction is needed at all; a child pointer
 //!    that comparison reads stale is caught by the next pass,
 //! 2. **physically removes** children that are logically deleted and have at
@@ -67,7 +67,7 @@ use sf_obs::{EventKind, FlightRecorder, Histogram, HistogramSnapshot};
 use sf_stm::{ThreadCtx, Transaction, TxResult};
 
 use crate::arena::{ActivitySnapshot, NodeId};
-use crate::node::{RemState, Side, SENTINEL_KEY};
+use crate::node::{Heights, RemState, Side, SENTINEL_KEY};
 use crate::shared::TreeCore;
 
 /// Process-wide histogram of maintenance pass durations (nanoseconds),
@@ -106,8 +106,8 @@ pub enum MaintenanceStyle {
 #[derive(Debug, Clone)]
 pub struct MaintenanceConfig {
     /// Imbalance threshold that triggers a rotation: a rotation runs when
-    /// `|left_h - right_h| > threshold`. The paper (following AVL-style local
-    /// balancing) uses 1.
+    /// `|heights.left - heights.right| > threshold`. The paper (following
+    /// AVL-style local balancing) uses 1.
     pub imbalance_threshold: i32,
     /// Floor of the work-proportional wait between consecutive traversals
     /// (see the [module docs](self#pacing)): the background thread waits at
@@ -438,8 +438,8 @@ impl MaintenanceWorker {
             return;
         }
         let balance = {
-            let node = self.core.node(child);
-            node.left_h.unsync_load() - node.right_h.unsync_load()
+            let heights = self.core.node(child).heights.unsync_load();
+            heights.left - heights.right
         };
         let threshold = self.config.imbalance_threshold;
         if !hot {
@@ -478,9 +478,8 @@ impl MaintenanceWorker {
         let node = self.core.node(id);
         let left = self.stored_height(node.left.unsync_load());
         let right = self.stored_height(node.right.unsync_load());
-        node.left_h.unsync_load() == left
-            && node.right_h.unsync_load() == right
-            && node.local_h.unsync_load() == 1 + left.max(right)
+        let heights = node.heights.unsync_load();
+        heights.left == left && heights.right == right && heights.local == 1 + left.max(right)
     }
 
     /// Stored height of the subtree rooted at `id` (`0` for ⊥), read plainly.
@@ -488,7 +487,7 @@ impl MaintenanceWorker {
         if id.is_nil() {
             0
         } else {
-            self.core.node(id).local_h.unsync_load()
+            self.core.node(id).heights.unsync_load().local
         }
     }
 
@@ -508,10 +507,8 @@ impl MaintenanceWorker {
         let heavy_side = direction.other();
         let pivot_id = self.core.node(child).child(heavy_side).unsync_load();
         if !pivot_id.is_nil() {
-            let pivot = self.core.node(pivot_id);
-            if pivot.child_height(direction).unsync_load()
-                > pivot.child_height(heavy_side).unsync_load()
-            {
+            let pivot = self.core.node(pivot_id).heights.unsync_load();
+            if pivot.side(direction) > pivot.side(heavy_side) {
                 self.try_rotate(child, heavy_side, heavy_side, report, false);
             }
         }
@@ -627,14 +624,14 @@ impl MaintenanceWorker {
         if pivot_id.is_nil() {
             return false;
         }
-        let pivot = self.core.node(pivot_id);
+        let pivot = self.core.node(pivot_id).heights.unsync_load();
         // Post-rotation, `child` keeps the pivot's inner (transfer) subtree
         // plus its own outer subtree, and the pivot adopts `child` next to
         // its outer subtree.
-        let transfer_h = pivot.child_height(heavy_side.other()).unsync_load();
-        let outer_h = node.child_height(heavy_side.other()).unsync_load();
+        let transfer_h = pivot.side(heavy_side.other());
+        let outer_h = node.heights.unsync_load().side(heavy_side.other());
         let child_after = 1 + transfer_h.max(outer_h);
-        let pivot_outer_h = pivot.child_height(heavy_side).unsync_load();
+        let pivot_outer_h = pivot.side(heavy_side);
         (transfer_h - outer_h).abs() <= extended && (pivot_outer_h - child_after).abs() <= extended
     }
 
@@ -647,7 +644,7 @@ impl MaintenanceWorker {
         if id.is_nil() {
             Ok(0)
         } else {
-            tx.read(&core.node(id).local_h)
+            Ok(tx.read(&core.node(id).heights)?.local)
         }
     }
 
@@ -664,14 +661,13 @@ impl MaintenanceWorker {
         let lh = Self::height_of(core, tx, left)?;
         let rh = Self::height_of(core, tx, right)?;
         let local = 1 + lh.max(rh);
-        if tx.read(&node.left_h)? != lh {
-            tx.write(&node.left_h, lh)?;
-        }
-        if tx.read(&node.right_h)? != rh {
-            tx.write(&node.right_h, rh)?;
-        }
-        if tx.read(&node.local_h)? != local {
-            tx.write(&node.local_h, local)?;
+        let heights = Heights {
+            left: lh,
+            right: rh,
+            local,
+        };
+        if tx.read(&node.heights)? != heights {
+            tx.write(&node.heights, heights)?;
         }
         Ok(local)
     }
@@ -682,14 +678,9 @@ impl MaintenanceWorker {
         let core = &self.core;
         self.ctx.atomically(|tx| {
             let node = core.node(id);
-            let before = (
-                tx.read(&node.left_h)?,
-                tx.read(&node.right_h)?,
-                tx.read(&node.local_h)?,
-            );
-            let local = Self::update_heights(core, tx, id)?;
-            let after = (tx.read(&node.left_h)?, tx.read(&node.right_h)?, local);
-            Ok(before != after)
+            let before = tx.read(&node.heights)?;
+            Self::update_heights(core, tx, id)?;
+            Ok(tx.read(&node.heights)? != before)
         })
     }
 
@@ -730,9 +721,8 @@ impl MaintenanceWorker {
             }
             // Refresh the parent's balance estimate for this side.
             let h = Self::height_of(core, tx, replacement)?;
-            tx.write(parent_node.child_height(side), h)?;
-            let other = tx.read(parent_node.child_height(side.other()))?;
-            tx.write(&parent_node.local_h, 1 + h.max(other))?;
+            let heights = tx.read(&parent_node.heights)?.with_side(side, h);
+            tx.write(&parent_node.heights, heights.settled())?;
             Ok(Some(n_id))
         })
     }
@@ -778,7 +768,8 @@ impl MaintenanceWorker {
             // then the parent's view of this subtree.
             Self::update_heights(core, tx, n_id)?;
             let pivot_h = Self::update_heights(core, tx, pivot_id)?;
-            tx.write(parent_node.child_height(side), pivot_h)?;
+            let parent_heights = tx.read(&parent_node.heights)?.with_side(side, pivot_h);
+            tx.write(&parent_node.heights, parent_heights)?;
             Ok(true)
         });
         committed.then_some(NodeId::NIL)
@@ -825,10 +816,11 @@ impl MaintenanceWorker {
             clone.child(heavy_side.other()).unsync_store(outer);
             let transfer_h = Self::height_of(core, tx, transfer)?;
             let outer_h = Self::height_of(core, tx, outer)?;
-            clone.child_height(heavy_side).unsync_store(transfer_h);
-            clone.child_height(heavy_side.other()).unsync_store(outer_h);
-            let clone_h = 1 + transfer_h.max(outer_h);
-            clone.local_h.unsync_store(clone_h);
+            let clone_heights = Heights::LEAF
+                .with_side(heavy_side, transfer_h)
+                .with_side(heavy_side.other(), outer_h)
+                .settled();
+            clone.heights.unsync_store(clone_heights);
             // The clone is the same logical node: carry its access heat so
             // hot-key bookkeeping survives clone-based restructuring.
             clone.record_access(n.access_mass());
@@ -841,11 +833,15 @@ impl MaintenanceWorker {
             tx.write(&n.rem, removed_state)?;
             tx.write(parent_node.child(side), pivot_id)?;
             // Refresh the pivot's balance estimate and the parent's view.
-            tx.write(pivot.child_height(heavy_side.other()), clone_h)?;
-            let pivot_other = tx.read(pivot.child_height(heavy_side))?;
-            let pivot_h = 1 + clone_h.max(pivot_other);
-            tx.write(&pivot.local_h, pivot_h)?;
-            tx.write(parent_node.child_height(side), pivot_h)?;
+            let pivot_heights = tx
+                .read(&pivot.heights)?
+                .with_side(heavy_side.other(), clone_heights.local)
+                .settled();
+            tx.write(&pivot.heights, pivot_heights)?;
+            let parent_heights = tx
+                .read(&parent_node.heights)?
+                .with_side(side, pivot_heights.local);
+            tx.write(&parent_node.heights, parent_heights)?;
             Ok(Some(n_id))
         })
     }
@@ -1315,12 +1311,9 @@ mod tests {
         let left = assert_avl_heights(core, node.left.unsync_load());
         let right = assert_avl_heights(core, node.right.unsync_load());
         let local = 1 + left.max(right);
+        let heights = node.heights.unsync_load();
         assert_eq!(
-            (
-                node.left_h.unsync_load(),
-                node.right_h.unsync_load(),
-                node.local_h.unsync_load()
-            ),
+            (heights.left, heights.right, heights.local),
             (left, right, local),
             "stored heights of key {}",
             node.key()

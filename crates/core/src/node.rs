@@ -6,22 +6,38 @@
 //! * `key` — immutable for the lifetime of a node incarnation (slots are
 //!   recycled only after quiescence, so a traversal never observes the key of
 //!   a slot change under it);
-//! * `value` — the mapped value (the paper's associative-array abstraction);
 //! * `left` / `right` — transactional child pointers (`NodeId::NIL` is ⊥);
-//! * `del` — logical-deletion flag (the *deleted* flag of §3.2);
 //! * `rem` — physical-removal flag, `No`, `Yes`, or `YesByLeftRotation`
 //!   (Algorithm 2, needed by the optimized find to keep traversing through
 //!   nodes removed by clone-based rotations);
-//! * `left_h` / `right_h` / `local_h` — the node-local estimated heights used
-//!   by the distributed rebalancing scheme of Bougé et al. (§3.1); only the
-//!   maintenance thread reads and writes them, so they never conflict with
-//!   abstract transactions;
+//! * `value` — the mapped value (the paper's associative-array abstraction);
+//! * `del` — logical-deletion flag (the *deleted* flag of §3.2);
+//! * `heights` — the node-local estimated heights used by the distributed
+//!   rebalancing scheme of Bougé et al. (§3.1): left subtree, right subtree
+//!   and local height, packed as three unsigned 21-bit fields into one cell
+//!   (see [`Heights`]). Only the maintenance thread reads and writes them,
+//!   so they never conflict with abstract transactions, and packing them
+//!   adds no conflict either. A height above 2^21 − 1 is stored clamped to
+//!   it: only a path of two million nodes reaches that, and the clamp can
+//!   only hide an imbalance between two such subtrees until rotations below
+//!   them bring their heights under the cap;
 //! * `hot` / `hot_sub` — the sampled, decaying access-frequency counter and
 //!   its subtree aggregate. Both are **plain relaxed atomics**, never part of
 //!   any STM read or write set: recording an access on traversal can neither
 //!   abort the recording transaction nor conflict with any other one, which
 //!   is what lets the maintenance thread do hot-key restructuring with zero
 //!   added mutator aborts.
+//!
+//! # Layout
+//!
+//! A node is 128 bytes aligned to 64, so it spans exactly two cache lines.
+//! Line 0 holds only what a traversal hop reads — `key`, `left`, `right`
+//! and `rem` — so once the tree is balanced each hop of a find costs one
+//! cache line. Line 1 holds the rest. Nothing an operation writes on its
+//! target node (`value`, `del`) or a sampled traversal bumps (`hot`) sits
+//! in line 0, so those writes never invalidate the line that concurrent
+//! traversals read on their way through the node; only a structural change
+//! (linking a child, a removal or a rotation) writes line 0.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -107,26 +123,99 @@ impl Side {
     }
 }
 
-/// A binary-search-tree node with transactional fields.
+/// Width in bits of each packed [`Heights`] field.
+const HEIGHT_BITS: u32 = 21;
+
+/// Largest height a [`Heights`] field holds; larger heights are stored
+/// clamped to it.
+const MAX_HEIGHT: i32 = (1 << HEIGHT_BITS) - 1;
+
+/// The three node-local height estimates of the distributed rebalancing
+/// scheme (§3.1), stored together in one transactional cell as three
+/// unsigned 21-bit fields. Only the maintenance thread reads or writes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Heights {
+    /// Estimated height of the left subtree.
+    pub left: i32,
+    /// Estimated height of the right subtree.
+    pub right: i32,
+    /// Expected local height: `1 + max(left, right)`.
+    pub local: i32,
+}
+
+impl Heights {
+    /// The heights of a leaf: two empty subtrees, local height 1.
+    pub const LEAF: Heights = Heights {
+        left: 0,
+        right: 0,
+        local: 1,
+    };
+
+    /// The estimated height of the subtree on the given side.
+    #[inline]
+    pub fn side(self, side: Side) -> i32 {
+        match side {
+            Side::Left => self.left,
+            Side::Right => self.right,
+        }
+    }
+
+    /// A copy with the estimated height of the subtree on `side` set to `h`
+    /// (the local height is left as it is).
+    #[inline]
+    pub fn with_side(self, side: Side, h: i32) -> Heights {
+        match side {
+            Side::Left => Heights { left: h, ..self },
+            Side::Right => Heights { right: h, ..self },
+        }
+    }
+
+    /// A copy whose local height is `1 + max(left, right)`.
+    #[inline]
+    pub fn settled(self) -> Heights {
+        Heights {
+            local: 1 + self.left.max(self.right),
+            ..self
+        }
+    }
+}
+
+impl TxValue for Heights {
+    fn encode(self) -> u64 {
+        let field = |h: i32| h.clamp(0, MAX_HEIGHT) as u64;
+        field(self.left) | field(self.right) << HEIGHT_BITS | field(self.local) << (2 * HEIGHT_BITS)
+    }
+    fn decode(raw: u64) -> Self {
+        let field = |shift: u32| ((raw >> shift) & MAX_HEIGHT as u64) as i32;
+        Heights {
+            left: field(0),
+            right: field(HEIGHT_BITS),
+            local: field(2 * HEIGHT_BITS),
+        }
+    }
+}
+
+/// A binary-search-tree node with transactional fields, laid out as two
+/// cache lines (see the [module docs](self#layout)).
 #[derive(Debug)]
+#[repr(C, align(64))]
 pub struct Node {
+    // Line 0: what a traversal hop reads.
     key: AtomicU64,
-    /// Mapped value.
-    pub value: TCell<Value>,
     /// Left child (keys smaller than `key`), `NodeId::NIL` when absent.
     pub left: TCell<NodeId>,
     /// Right child (keys larger than `key`), `NodeId::NIL` when absent.
     pub right: TCell<NodeId>,
-    /// Logical deletion flag (§3.2).
-    pub del: TCell<bool>,
     /// Physical removal flag (§3.3).
     pub rem: TCell<RemState>,
-    /// Estimated height of the left subtree (maintenance-only).
-    pub left_h: TCell<i32>,
-    /// Estimated height of the right subtree (maintenance-only).
-    pub right_h: TCell<i32>,
-    /// Expected local height: `1 + max(left_h, right_h)` (maintenance-only).
-    pub local_h: TCell<i32>,
+    _line0_pad: [u8; 8],
+    // Line 1: everything else.
+    /// Mapped value.
+    pub value: TCell<Value>,
+    /// Logical deletion flag (§3.2).
+    pub del: TCell<bool>,
+    /// Estimated subtree and local heights (maintenance-only).
+    pub heights: TCell<Heights>,
     /// Sampled, decaying access-frequency counter (non-transactional).
     hot: AtomicU64,
     /// Subtree access mass aggregated by the last maintenance pass
@@ -138,14 +227,13 @@ impl Default for Node {
     fn default() -> Self {
         Node {
             key: AtomicU64::new(0),
-            value: TCell::new(0),
             left: TCell::new(NodeId::NIL),
             right: TCell::new(NodeId::NIL),
-            del: TCell::new(false),
             rem: TCell::new(RemState::Present),
-            left_h: TCell::new(0),
-            right_h: TCell::new(0),
-            local_h: TCell::new(1),
+            _line0_pad: [0; 8],
+            value: TCell::new(0),
+            del: TCell::new(false),
+            heights: TCell::new(Heights::LEAF),
             hot: AtomicU64::new(0),
             hot_sub: AtomicU64::new(0),
         }
@@ -173,9 +261,7 @@ impl Node {
         self.right.unsync_store(NodeId::NIL);
         self.del.unsync_store(false);
         self.rem.unsync_store(RemState::Present);
-        self.left_h.unsync_store(0);
-        self.right_h.unsync_store(0);
-        self.local_h.unsync_store(1);
+        self.heights.unsync_store(Heights::LEAF);
         // sf-lint: allow(relaxed-atomic, hot counter reset at node init; slot reuse is ordered by the arena recycle protocol)
         self.hot.store(0, Ordering::Relaxed);
         // sf-lint: allow(relaxed-atomic, hot counter reset at node init; slot reuse is ordered by the arena recycle protocol)
@@ -234,15 +320,6 @@ impl Node {
             Side::Right => &self.right,
         }
     }
-
-    /// The subtree-height cell on the given side.
-    #[inline]
-    pub fn child_height(&self, side: Side) -> &TCell<i32> {
-        match side {
-            Side::Left => &self.left_h,
-            Side::Right => &self.right_h,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +355,11 @@ mod tests {
         n.del.unsync_store(true);
         n.rem.unsync_store(RemState::Removed);
         n.left.unsync_store(NodeId(7));
-        n.local_h.unsync_store(9);
+        n.heights.unsync_store(Heights {
+            left: 8,
+            right: 7,
+            local: 9,
+        });
         n.record_access(12);
         n.set_subtree_mass(99);
         n.init_fresh(42, 43);
@@ -288,7 +369,7 @@ mod tests {
         assert_eq!(n.right.unsync_load(), NodeId::NIL);
         assert!(!n.del.unsync_load());
         assert_eq!(n.rem.unsync_load(), RemState::Present);
-        assert_eq!(n.local_h.unsync_load(), 1);
+        assert_eq!(n.heights.unsync_load(), Heights::LEAF);
         assert_eq!(n.access_mass(), 0);
         assert_eq!(n.subtree_mass(), 0);
     }
@@ -316,9 +397,60 @@ mod tests {
         n.right.unsync_store(NodeId(2));
         assert_eq!(n.child(Side::Left).unsync_load(), NodeId(1));
         assert_eq!(n.child(Side::Right).unsync_load(), NodeId(2));
-        n.left_h.unsync_store(3);
-        n.right_h.unsync_store(4);
-        assert_eq!(n.child_height(Side::Left).unsync_load(), 3);
-        assert_eq!(n.child_height(Side::Right).unsync_load(), 4);
+        let h = Heights::LEAF
+            .with_side(Side::Left, 3)
+            .with_side(Side::Right, 4);
+        assert_eq!((h.left, h.right, h.local), (3, 4, 1));
+        assert_eq!(h.side(Side::Left), 3);
+        assert_eq!(h.side(Side::Right), 4);
+        assert_eq!(h.settled(), Heights { local: 5, ..h });
+    }
+
+    #[test]
+    fn heights_roundtrip_and_clamp() {
+        for h in [0, 1, 2, 14, 23, 49, MAX_HEIGHT] {
+            let packed = Heights {
+                left: h,
+                right: MAX_HEIGHT - h,
+                local: h / 2,
+            };
+            assert_eq!(Heights::decode(packed.encode()), packed);
+        }
+        let clamped = Heights {
+            left: MAX_HEIGHT + 1,
+            right: i32::MAX,
+            local: 5,
+        };
+        assert_eq!(
+            Heights::decode(clamped.encode()),
+            Heights {
+                left: MAX_HEIGHT,
+                right: MAX_HEIGHT,
+                local: 5,
+            }
+        );
+        assert_eq!(MAX_HEIGHT, (1 << 21) - 1);
+    }
+
+    #[test]
+    fn node_is_two_cache_lines_with_the_hop_fields_in_the_first() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(size_of::<Node>(), 128);
+        assert_eq!(align_of::<Node>(), 64);
+        let hop_ends = [
+            offset_of!(Node, key) + size_of::<AtomicU64>(),
+            offset_of!(Node, left) + size_of::<TCell<NodeId>>(),
+            offset_of!(Node, right) + size_of::<TCell<NodeId>>(),
+            offset_of!(Node, rem) + size_of::<TCell<RemState>>(),
+        ];
+        assert!(hop_ends.iter().all(|&end| end <= 64), "{hop_ends:?}");
+        // What mutators write per operation stays off the traversal line.
+        for offset in [
+            offset_of!(Node, value),
+            offset_of!(Node, del),
+            offset_of!(Node, hot),
+        ] {
+            assert!(offset >= 64, "mutator-written field at byte {offset}");
+        }
     }
 }

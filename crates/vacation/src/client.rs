@@ -128,9 +128,14 @@ impl VacationResult {
 /// customer record per row.
 pub fn initialize<D: DirectoryMap>(stm: &Arc<Stm>, manager: &Manager<D>, params: &VacationParams) {
     let mut ctx = stm.register();
+    // Maintenance may already run on the tables, so population brackets its
+    // transactions like any client: a node it traverses is never recycled
+    // under it.
+    let activity = manager.register_activity();
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0x1111);
     for id in 1..=params.num_relations {
         let units = 100 * (rng.gen_range(1..=5u64));
+        let guards: Vec<_> = activity.iter().map(|a| a.begin()).collect();
         ctx.atomically(|tx| {
             for kind in ReservationKind::ALL {
                 let price = 50 * rng.gen_range(1..=5u64) + 50;
@@ -138,6 +143,7 @@ pub fn initialize<D: DirectoryMap>(stm: &Arc<Stm>, manager: &Manager<D>, params:
             }
             manager.add_customer(tx, id)
         });
+        drop(guards);
     }
 }
 
