@@ -32,8 +32,6 @@
 //! | `SF_WAL_DIR` | base directory for write-ahead logs | `$TMPDIR/sf-wal-<pid>` |
 //! | `SF_WAL_GROUP` | records per group-commit fsync batch (`0` = buffered) | `128` |
 //! | `SF_WAL_CKPT` | records between automatic checkpoints (`0` = manual) | `0` |
-//! | `SF_WAL_WRITER` | `thread` (dedicated writer) or `leader` (fallback) | `thread` |
-//! | `SF_WAL_WINDOW_US` | writer-thread batching window (µs) | `100` |
 //! | `SF_WAL_RING` | submission-ring capacity (records) | `1024` |
 //! | `SF_WAL_CKPT_MS` | time-based checkpoint trigger (ms, `0` = off) | off |
 //! | `SF_OBS_SAMPLE` | latency sampling: record 1 in N operations (`0` = off) | `32` |
@@ -44,8 +42,9 @@
 //! Every harness's JSON line carries the WAL counters of its measured phase
 //! (`wal_records`, `wal_bytes`, `wal_batches`, `wal_writer_batches`,
 //! `wal_max_ring_depth`, `wal_checkpoints`, `wal_replayed` — all zero for
-//! non-durable backends) plus the STM's `combined_commits`, the abort-cause
-//! taxonomy (`abort_*`, summing exactly to `aborts`), and the sampled
+//! non-durable backends) plus the STM's abort-cause taxonomy (`abort_*`,
+//! summing exactly to `aborts`; `abort_combiner` and `combined_commits` are
+//! retired fields that always read 0), and the sampled
 //! latency distributions (`lat_*`, nanoseconds; zero when sampling is
 //! disabled or no event of that kind occurred), and the dedicated
 //! `recovery` binary measures replay throughput against log length. It also carries the hot-key summary taken quiescently after the
@@ -481,7 +480,6 @@ mod tests {
         let result = run_structure("sftree-opt", StmConfig::ctl(), &config);
         let causes = result.stm.abort_read_validation
             + result.stm.abort_lock_conflict
-            + result.stm.abort_combiner
             + result.stm.abort_explicit
             + result.stm.abort_scan_validation;
         assert_eq!(

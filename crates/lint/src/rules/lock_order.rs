@@ -8,7 +8,6 @@
 //! |------|-------|-------|
 //! | 10 | `move_lock` (per-shard) | `crates/core/sharded.rs` |
 //! | 20 | `checkpoint_lock` / `hook_lock` | `crates/persist/durable.rs` |
-//! | 30 | combiner `slot` | `crates/stm/txn.rs` |
 //! | 40 | WAL `state` | `crates/persist/log.rs` |
 //! | 50 | WAL `segment` | `crates/persist/log.rs` |
 //!
@@ -46,7 +45,6 @@ const CLASSES: &[(&str, &str, u32, &str)] = &[
     ("move_lock", "", 10, "move_lock"),
     ("checkpoint_lock", "", 20, "checkpoint_lock"),
     ("hook_lock", "", 20, "checkpoint_lock"),
-    ("slot", "crates/stm/", 30, "combiner-slot"),
     ("state", "crates/persist/", 40, "wal-state"),
     ("segment", "crates/persist/", 50, "wal-segment"),
 ];
@@ -215,8 +213,7 @@ fn report_conflicts(
             anchor: format!("{}:{}", span.name, acq.class),
             message: format!(
                 "lock-order violation in `{}`: {shape} {how} (prior acquisition at line {}) — \
-                 the declared order is move_lock < checkpoint_lock < combiner-slot < wal-state \
-                 < wal-segment",
+                 the declared order is move_lock < checkpoint_lock < wal-state < wal-segment",
                 span.name, h.line
             ),
             waived: file.waived(WAIVER_RULE, acq.line),

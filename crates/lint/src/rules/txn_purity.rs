@@ -11,7 +11,7 @@
 //! * the argument regions of `on_commit` / `on_commit_versioned` calls are
 //!   skipped — those closures run exactly once, post-commit;
 //! * the STM crate itself (`crates/stm/`) is allowlisted: the *machinery*
-//!   of `atomically` legitimately takes the commit locks and combiner slot.
+//!   of `atomically` legitimately takes the commit locks.
 
 use crate::lexer::balanced_end;
 use crate::rules::{is_call, is_macro, is_method_call, is_path_seg};

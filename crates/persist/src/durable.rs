@@ -50,21 +50,21 @@
 //! both shards' checkpoint locks are held so a checkpoint can never
 //! truncate an unresolved intent or half out of a log. Automatic
 //! checkpoints therefore cannot fire from *inside* the move protocol — but
-//! they are not lost: in writer-thread mode the trigger stays **deferred**
+//! they are not lost: with a writer thread the trigger stays **deferred**
 //! in the log's writer thread, which retries with a `try_lock` on every
 //! wakeup and checkpoints the moment the move scope releases the lock, so
 //! even a purely move-driven durable workload checkpoints automatically.
 //!
 //! ## Checkpoint triggers
 //!
-//! With `SF_WAL_WRITER=thread` (the default), the auto-checkpoint triggers
-//! — a size threshold ([`WalOptions::auto_checkpoint`], `SF_WAL_CKPT`) and
-//! a time interval ([`WalOptions::checkpoint_interval`], `SF_WAL_CKPT_MS`)
-//! — are evaluated by the log's writer thread between flush batches, via a
-//! hook installed at open. Mutators never run a checkpoint inline; the
-//! whole snapshot + install happens off the hot path. Under the leader
-//! fallback (and in buffered mode) the pre-writer behavior remains: the
-//! size trigger is checked inline after each durable mutation.
+//! With a writer thread (`group > 0`, the default), the auto-checkpoint
+//! triggers — a size threshold ([`WalOptions::auto_checkpoint`],
+//! `SF_WAL_CKPT`) and a time interval ([`WalOptions::checkpoint_interval`],
+//! `SF_WAL_CKPT_MS`) — are evaluated by the log's writer thread between
+//! flush batches, via a hook installed at open. Mutators never run a
+//! checkpoint inline; the whole snapshot + install happens off the hot
+//! path. In buffered mode (`group == 0`) there is no writer thread, so the
+//! size trigger is checked inline after each mutation.
 
 use std::io;
 use std::ops::RangeInclusive;
@@ -83,7 +83,7 @@ use sf_tree::{
     SpecFriendlyTree, TxMap, TxMapVersioned, Value,
 };
 
-use crate::log::{Wal, WalOptions, WriterMode};
+use crate::log::{Wal, WalOptions};
 use crate::record::{WalOp, WalRecord};
 use crate::recovery::{recover, recover_sharded_parts, shard_dir, Recovery};
 use crate::stats;
@@ -209,7 +209,6 @@ impl<M: TxMapVersioned + 'static> DurableMap<M> {
             warn_buffered_once("SF_RECOVERY_SMOKE is set (a crash drill is running)");
         }
         let triggers_in_writer = options.group > 0
-            && options.writer == WriterMode::Thread
             && (options.auto_checkpoint > 0 || options.checkpoint_interval.is_some());
         if triggers_in_writer {
             // The writer thread evaluates the size/time triggers and calls
@@ -337,11 +336,10 @@ impl<M: TxMapVersioned + 'static> DurableMap<M> {
         changed
     }
 
-    /// After a logged mutation: wait for its record's durability. Under the
-    /// leader fallback (and buffered mode) this also runs the inline
-    /// size-triggered automatic checkpoint; in writer-thread mode the
-    /// triggers live in the writer thread instead, so the mutator returns
-    /// the moment its record is durable.
+    /// After a logged mutation: wait for its record's durability. In
+    /// buffered mode this also runs the inline size-triggered automatic
+    /// checkpoint; with a writer thread the triggers live there instead, so
+    /// the mutator returns the moment its record is durable.
     fn finish_mutation(&self, handle: &mut DurableHandle<M>) {
         // sf-lint: allow(relaxed-atomic, same-thread handoff; reads back the ticket this thread stored in its commit hook)
         let seq = handle.ticket.swap(0, Ordering::Relaxed);
@@ -355,9 +353,7 @@ impl<M: TxMapVersioned + 'static> DurableMap<M> {
         } else {
             self.wal.sync_to(seq);
         }
-        let triggers_in_writer =
-            self.options.group > 0 && self.options.writer == WriterMode::Thread;
-        if !triggers_in_writer
+        if self.options.group == 0
             && self.options.auto_checkpoint > 0
             && self.wal.records_since_checkpoint() >= self.options.auto_checkpoint
         {

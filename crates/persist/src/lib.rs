@@ -11,8 +11,9 @@
 //!   (both speculation-friendly trees, the red-black/AVL/no-restructuring
 //!   baselines): logs effective mutations through a **group-commit** writer
 //!   and waits for durability before the operation returns.
-//! * [`Wal`] — the segment log itself: checksummed frames, leader-based
-//!   group commit, rotation, checkpoint install with atomic rename.
+//! * [`Wal`] — the segment log itself: checksummed frames, group commit by
+//!   a dedicated writer thread, rotation, checkpoint install with atomic
+//!   rename.
 //! * [`recover`] / [`recover_sharded`] — rebuild `checkpoint + log` into an
 //!   entry set (+ the version the STM clock must resume above).
 //! * [`sharded_optimized`] / [`sharded_portable`] / [`checkpoint_sharded`] —
@@ -61,7 +62,7 @@ pub use durable::{
     checkpoint_sharded, sharded_optimized, sharded_portable, sharded_with, CheckpointReport,
     DurableHandle, DurableMap,
 };
-pub use log::{Wal, WalOptions, WalShared, WriterMode};
+pub use log::{Wal, WalOptions, WalShared};
 pub use record::{WalOp, WalRecord};
 pub use recovery::{recover, recover_sharded, shard_dir, MoveIntentInfo, Recovery};
 pub use stats::{LogStats, WalStats};

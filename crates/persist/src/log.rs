@@ -1,27 +1,21 @@
 //! The write-ahead log: segment files driven by an asynchronous group-commit
-//! writer thread (or, as a fallback, by leader-based group commit).
+//! writer thread.
 //!
 //! One [`Wal`] owns one directory. Redo records are *enqueued* by commit
 //! hooks into a **bounded submission ring** (cheap: a buffer push under a
 //! mutex, blocking only when the ring is full — backpressure, never drops)
-//! and made durable by a dedicated **writer thread** that drains the ring in
-//! batches: it collects up to `group` records, waiting up to the batching
-//! *window* (`WalOptions::window`, the `SF_WAL_WINDOW_US` knob) for
-//! stragglers, then performs one `write` + one `fsync` and wakes every
-//! mutator parked in [`Wal::sync_to`]. A mutator therefore **never executes
-//! `write`/`fsync` itself** — the paper's core trick (move the expensive,
-//! abort-prone work off the mutator path into a dedicated thread) applied to
-//! durability.
+//! and made durable by a dedicated **writer thread**: each time it wakes it
+//! drains up to `group` pending records into one `write` + one `fsync` and
+//! wakes every mutator parked in [`Wal::sync_to`]. Batching comes, as in
+//! classic group commit, from the records that queue up while the previous
+//! `write` + `fsync` runs; the writer never waits for a batch to fill. A
+//! mutator therefore **never executes `write`/`fsync` itself** — the paper's
+//! core trick (move the expensive, abort-prone work off the mutator path
+//! into a dedicated thread) applied to durability.
 //!
-//! Two fallback modes remain:
-//!
-//! * [`WriterMode::Leader`] (`SF_WAL_WRITER=leader`) restores the previous
-//!   design: the first [`Wal::sync_to`] waiter becomes the flusher, drains up
-//!   to `group` pending records into one `write` + `fsync`, and wakes the
-//!   waiters the batch covered — the classic group commit of
-//!   `brianshih1/little-key-value-db`'s redo log.
-//! * `group == 0` selects **buffered** mode: no writer thread, no per-op
-//!   sync; records are written only by checkpoints, [`Wal::flush`], and drop.
+//! `group == 0` selects **buffered** mode instead: no writer thread, no
+//! per-op sync; records are written only by checkpoints, [`Wal::flush`], and
+//! drop.
 //!
 //! ## Checkpoint triggers
 //!
@@ -86,19 +80,6 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.ck";
 /// Scratch name the checkpoint is written under before the atomic rename.
 pub const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 
-/// Who performs the `write`+`fsync` of a group-commit batch
-/// (the `SF_WAL_WRITER` knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WriterMode {
-    /// A dedicated writer thread drains the submission ring; mutators only
-    /// enqueue and park. The default.
-    #[default]
-    Thread,
-    /// Leader-based group commit: the first waiter flushes the batch inline
-    /// (the pre-writer-thread design, kept as a fallback).
-    Leader,
-}
-
 /// Tuning of a [`Wal`] (and of the [`crate::DurableMap`] that owns it).
 #[derive(Debug, Clone, Copy)]
 pub struct WalOptions {
@@ -112,13 +93,6 @@ pub struct WalOptions {
     /// least this many records have been logged since the last checkpoint,
     /// the trigger fires. `0` disables the size trigger.
     pub auto_checkpoint: u64,
-    /// Who flushes batches (`SF_WAL_WRITER`): the dedicated writer thread
-    /// (default) or the leader-based fallback. Irrelevant in buffered mode.
-    pub writer: WriterMode,
-    /// Batching window (`SF_WAL_WINDOW_US`): in thread mode, how long the
-    /// writer waits for a partial batch to fill up to `group` records before
-    /// flushing what it has. Zero flushes immediately (one batch per wakeup).
-    pub window: Duration,
     /// Submission-ring capacity (`SF_WAL_RING`): in thread mode, an enqueue
     /// against a full ring blocks until the writer drains space (bounded
     /// memory; records are never dropped).
@@ -135,8 +109,6 @@ impl Default for WalOptions {
         WalOptions {
             group: 128,
             auto_checkpoint: 0,
-            writer: WriterMode::Thread,
-            window: Duration::from_micros(100),
             ring_capacity: 1024,
             checkpoint_interval: None,
         }
@@ -151,11 +123,9 @@ struct PendingState {
     enqueued_seq: u64,
     /// Sequence number through which records are durably on disk.
     durable_seq: u64,
-    /// A leader is currently writing a batch (leader mode only).
+    /// A batch is being written outside the state lock; other inline
+    /// flushers (buffered mode) wait for it instead of spinning.
     flushing: bool,
-    /// The writer thread should drain everything promptly (an explicit
-    /// flush/rotate is waiting); cleared once `durable_seq` catches up.
-    drain_goal: u64,
     /// The Wal is being dropped: the writer drains and exits.
     shutdown: bool,
     /// A write/fsync failed; the durability promise is broken for good.
@@ -289,8 +259,10 @@ impl WalShared {
         *self.writer_thread.lock() == Some(std::thread::current().id())
     }
 
+    /// A writer thread owns every flush (`group > 0`); otherwise the log is
+    /// buffered and flushed inline.
     fn thread_mode(&self) -> bool {
-        self.options.group > 0 && self.options.writer == WriterMode::Thread
+        self.options.group > 0
     }
 
     /// Enqueue one record and return its sequence number. In thread mode a
@@ -326,16 +298,15 @@ impl WalShared {
     }
 
     /// Block until every record with a sequence number `<= seq` is durably
-    /// on disk. In thread mode the caller parks until the writer thread's
-    /// batch covers it; in leader mode the first waiter flushes batches
-    /// itself. In buffered mode (`group == 0`) this returns immediately.
+    /// on disk: the caller parks until a writer-thread batch covers it. In
+    /// buffered mode (`group == 0`) this returns immediately.
     ///
     /// # Panics
     /// Panics when the log is (or becomes) poisoned: the caller was promised
     /// durability and the log cannot provide it, and hanging forever would
     /// hide the failure.
     pub fn sync_to(&self, seq: u64) {
-        if self.options.group == 0 {
+        if !self.thread_mode() {
             return;
         }
         let mut state = self.lock_state();
@@ -346,13 +317,7 @@ impl WalShared {
             if state.durable_seq >= seq {
                 return;
             }
-            if self.thread_mode() || state.flushing {
-                // Thread mode always parks; in leader mode a follower parks
-                // while the current leader runs the batch.
-                self.flushed.wait(&mut state);
-            } else {
-                state = self.flush_batch(state, false);
-            }
+            self.flushed.wait(&mut state);
         }
     }
 
@@ -364,7 +329,6 @@ impl WalShared {
         if self.thread_mode() && !self.on_writer_thread() {
             let mut state = self.lock_state();
             let goal = state.enqueued_seq;
-            state.drain_goal = state.drain_goal.max(goal);
             self.work.notify_one();
             loop {
                 if let Some(reason) = &state.poisoned {
@@ -376,7 +340,7 @@ impl WalShared {
                 self.flushed.wait(&mut state);
             }
         }
-        // Leader / buffered mode, or the writer thread draining inline.
+        // Buffered mode, or the writer thread draining inline.
         let mut state = self.lock_state();
         while state.durable_seq < state.enqueued_seq {
             if let Some(reason) = &state.poisoned {
@@ -386,7 +350,7 @@ impl WalShared {
                 self.flushed.wait(&mut state);
                 continue;
             }
-            state = self.flush_batch(state, self.on_writer_thread());
+            state = self.flush_batch(state);
         }
         if let Some(reason) = &state.poisoned {
             return Err(io::Error::other(reason.clone()));
@@ -398,16 +362,19 @@ impl WalShared {
     /// with one `write` + one `fsync`, and wake waiters. Consumes and
     /// returns the state lock. On I/O failure the log is poisoned instead of
     /// panicking; callers observe it through their own paths.
+    ///
+    /// In thread mode only the writer thread gets here (`sync_to` and
+    /// `flush` from other threads park), so every thread-mode batch is a
+    /// writer batch.
     fn flush_batch<'a>(
         &'a self,
         mut state: MutexGuard<'a, PendingState>,
-        by_writer_thread: bool,
     ) -> MutexGuard<'a, PendingState> {
         debug_assert!(!state.flushing);
-        let take = if self.options.group == 0 {
-            state.pending.len()
-        } else {
+        let take = if self.thread_mode() {
             state.pending.len().min(self.options.group)
+        } else {
+            state.pending.len()
         };
         if take == 0 {
             return state;
@@ -425,11 +392,13 @@ impl WalShared {
         }
         let io_started = Instant::now();
         let result: io::Result<()> = (|| {
+            let mut segment = self.lock_segment();
+            // The injected failure stands in for the write below, so it
+            // fires under the segment lock like a real one.
             // sf-lint: allow(relaxed-atomic, fault-injection flag for crash tests; no ordering contract with real I/O)
             if self.fail_next_flush.swap(false, Ordering::Relaxed) {
                 return Err(io::Error::other("injected WAL flush failure"));
             }
-            let mut segment = self.lock_segment();
             segment.file.write_all(&buf)?;
             segment.file.sync_data()?;
             Ok(())
@@ -441,7 +410,7 @@ impl WalShared {
         match result {
             Ok(()) => {
                 self.stats
-                    .note_batch(take as u64, buf.len() as u64, by_writer_thread);
+                    .note_batch(take as u64, buf.len() as u64, self.thread_mode());
                 self.stats.note_fsync(io_elapsed);
                 FlightRecorder::global().record(
                     EventKind::BatchFlush,
@@ -587,13 +556,11 @@ impl WalShared {
         ran
     }
 
-    /// The writer thread's main loop: drain batches honoring the batching
-    /// window, evaluate checkpoint triggers between batches, exit on
-    /// shutdown after draining the ring.
+    /// The writer thread's main loop: on each wakeup drain up to `group`
+    /// pending records into one batch, evaluate checkpoint triggers between
+    /// batches, exit on shutdown after draining the ring.
     fn writer_loop(self: &Arc<Self>) {
         *self.writer_thread.lock() = Some(std::thread::current().id());
-        let group = self.options.group;
-        let window = self.options.window;
         // How long to sleep when idle: short while a deferred checkpoint is
         // pending (so the trigger retries promptly once the blocking move
         // finishes), long otherwise (shutdown/enqueue wake us anyway).
@@ -628,26 +595,7 @@ impl WalShared {
                     continue;
                 }
             }
-            // Batching window: wait for the batch to fill up to `group`
-            // records, but never past the window deadline, and not at all
-            // when an explicit drain is waiting or we are shutting down.
-            let deadline = Instant::now() + window;
-            while state.pending.len() < group
-                && state.drain_goal <= state.durable_seq
-                && !state.shutdown
-                && state.poisoned.is_none()
-            {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                self.work.wait_for(&mut state, deadline - now);
-            }
-            state = self.flush_batch(state, true);
-            if state.drain_goal <= state.durable_seq {
-                state.drain_goal = 0;
-            }
-            drop(state);
+            drop(self.flush_batch(state));
             checkpoint_deferred = !self.run_checkpoint_hook();
         }
     }
@@ -680,7 +628,6 @@ impl Wal {
                     enqueued_seq: 0,
                     durable_seq: 0,
                     flushing: false,
-                    drain_goal: 0,
                     shutdown: false,
                     poisoned: None,
                 },
@@ -796,8 +743,8 @@ impl Drop for Wal {
         if let Some(writer) = writer {
             let _ = writer.join();
         }
-        // Leader/buffered mode (or a poisoned writer that exited early with
-        // records still pending): persist what we can inline.
+        // Buffered mode: persist what is pending inline. In thread mode the
+        // writer drained the ring before exiting, so this returns at once.
         let _ = self.shared.flush();
     }
 }
@@ -818,60 +765,73 @@ mod tests {
         }
     }
 
-    fn options(group: usize, writer: WriterMode) -> WalOptions {
+    fn options(group: usize) -> WalOptions {
         WalOptions {
             group,
-            writer,
             ..WalOptions::default()
         }
     }
 
-    fn both_modes() -> [WriterMode; 2] {
-        [WriterMode::Thread, WriterMode::Leader]
+    /// Enqueue `count` records while holding the segment mutex, so the
+    /// writer stalls inside `flush_batch` on its first batch and every later
+    /// record queues up behind that flush. Returns the last sequence number;
+    /// the records become durable once the caller syncs on it.
+    fn enqueue_behind_a_stalled_flush(wal: &Wal, count: u64) -> u64 {
+        let segment = wal.shared().lock_segment();
+        let mut last = 0;
+        for i in 1..=count {
+            last = wal.enqueue(record(i, i));
+        }
+        drop(segment);
+        last
     }
 
     #[test]
     fn enqueue_sync_roundtrip_lands_records_in_the_segment() {
-        for mode in both_modes() {
-            let dir = TempDir::new("wal-roundtrip");
-            let wal = Wal::open(dir.path(), 1, options(4, mode)).unwrap();
-            let mut last = 0;
-            for i in 1..=10u64 {
-                last = wal.enqueue(record(i, i));
-            }
-            wal.sync_to(last);
-            let bytes = fs::read(segment_path(dir.path(), 1)).unwrap();
-            let scan = scan_segment(&bytes);
-            assert_eq!(scan.records.len(), 10, "{mode:?}");
-            assert_eq!(scan.torn_bytes, 0, "{mode:?}");
-            assert_eq!(wal.records_since_checkpoint(), 10, "{mode:?}");
+        let dir = TempDir::new("wal-roundtrip");
+        let wal = Wal::open(dir.path(), 1, options(4)).unwrap();
+        let mut last = 0;
+        for i in 1..=10u64 {
+            last = wal.enqueue(record(i, i));
         }
+        wal.sync_to(last);
+        let bytes = fs::read(segment_path(dir.path(), 1)).unwrap();
+        let scan = scan_segment(&bytes);
+        assert_eq!(scan.records.len(), 10);
+        assert_eq!(scan.torn_bytes, 0);
+        assert_eq!(wal.records_since_checkpoint(), 10);
     }
 
     #[test]
     fn batch_order_is_sorted_by_version() {
-        for mode in both_modes() {
-            let dir = TempDir::new("wal-sort");
-            let wal = Wal::open(dir.path(), 1, options(128, mode)).unwrap();
-            // Enqueue out of commit order within one batch.
-            wal.enqueue(record(3, 3));
-            wal.enqueue(record(1, 1));
-            let seq = wal.enqueue(record(2, 2));
-            wal.sync_to(seq);
-            let bytes = fs::read(segment_path(dir.path(), 1)).unwrap();
-            let versions: Vec<u64> = scan_segment(&bytes)
-                .records
-                .iter()
-                .map(|r| r.version)
-                .collect();
-            assert_eq!(versions, vec![1, 2, 3], "{mode:?}");
+        let dir = TempDir::new("wal-sort");
+        let wal = Wal::open(dir.path(), 1, options(128)).unwrap();
+        // Stall the writer on the segment mutex with a first batch holding
+        // only version 0, then enqueue out of commit order: the three
+        // records wait together and land in the next batch.
+        let segment = wal.shared().lock_segment();
+        wal.enqueue(record(0, 0));
+        while !wal.shared().lock_state().pending.is_empty() {
+            std::thread::sleep(Duration::from_millis(1));
         }
+        wal.enqueue(record(3, 3));
+        wal.enqueue(record(1, 1));
+        let seq = wal.enqueue(record(2, 2));
+        drop(segment);
+        wal.sync_to(seq);
+        let bytes = fs::read(segment_path(dir.path(), 1)).unwrap();
+        let versions: Vec<u64> = scan_segment(&bytes)
+            .records
+            .iter()
+            .map(|r| r.version)
+            .collect();
+        assert_eq!(versions, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn buffered_mode_defers_writes_until_flush() {
         let dir = TempDir::new("wal-buffered");
-        let wal = Wal::open(dir.path(), 1, options(0, WriterMode::Thread)).unwrap();
+        let wal = Wal::open(dir.path(), 1, options(0)).unwrap();
         let seq = wal.enqueue(record(1, 1));
         wal.sync_to(seq); // no-op in buffered mode
         let bytes = fs::read(segment_path(dir.path(), 1)).unwrap();
@@ -883,24 +843,22 @@ mod tests {
 
     #[test]
     fn rotate_seals_and_switches_segments() {
-        for mode in both_modes() {
-            let dir = TempDir::new("wal-rotate");
-            let wal = Wal::open(dir.path(), 1, options(8, mode)).unwrap();
-            wal.sync_to(wal.enqueue(record(1, 1)));
-            let sealed = wal.rotate().unwrap();
-            assert_eq!(sealed, 1, "{mode:?}");
-            wal.sync_to(wal.enqueue(record(2, 2)));
-            let first = fs::read(segment_path(dir.path(), 1)).unwrap();
-            let second = fs::read(segment_path(dir.path(), 2)).unwrap();
-            assert_eq!(scan_segment(&first).records.len(), 1, "{mode:?}");
-            assert_eq!(scan_segment(&second).records.len(), 1, "{mode:?}");
-        }
+        let dir = TempDir::new("wal-rotate");
+        let wal = Wal::open(dir.path(), 1, options(8)).unwrap();
+        wal.sync_to(wal.enqueue(record(1, 1)));
+        let sealed = wal.rotate().unwrap();
+        assert_eq!(sealed, 1);
+        wal.sync_to(wal.enqueue(record(2, 2)));
+        let first = fs::read(segment_path(dir.path(), 1)).unwrap();
+        let second = fs::read(segment_path(dir.path(), 2)).unwrap();
+        assert_eq!(scan_segment(&first).records.len(), 1);
+        assert_eq!(scan_segment(&second).records.len(), 1);
     }
 
     #[test]
     fn install_checkpoint_writes_image_and_deletes_sealed_segments() {
         let dir = TempDir::new("wal-ckpt");
-        let wal = Wal::open(dir.path(), 1, options(8, WriterMode::Thread)).unwrap();
+        let wal = Wal::open(dir.path(), 1, options(8)).unwrap();
         wal.sync_to(wal.enqueue(record(1, 1)));
         let sealed = wal.rotate().unwrap();
         wal.install_checkpoint(1, &[(1, 10)], sealed).unwrap();
@@ -912,49 +870,36 @@ mod tests {
 
     #[test]
     fn group_commit_shares_flushes_across_threads() {
-        for mode in both_modes() {
-            let dir = TempDir::new("wal-group");
-            let wal = Arc::new(Wal::open(dir.path(), 1, options(64, mode)).unwrap());
-            let threads: Vec<_> = (0..2u64)
-                .map(|t| {
-                    let wal = Arc::clone(&wal);
-                    std::thread::spawn(move || {
-                        for i in 0..50u64 {
-                            let seq = wal.enqueue(record(t * 1000 + i + 1, i));
-                            wal.sync_to(seq);
-                        }
-                    })
+        let dir = TempDir::new("wal-group");
+        let wal = Arc::new(Wal::open(dir.path(), 1, options(64)).unwrap());
+        let threads: Vec<_> = (0..2u64)
+            .map(|t| {
+                let wal = Arc::clone(&wal);
+                std::thread::spawn(move || {
+                    for i in 0..50u64 {
+                        let seq = wal.enqueue(record(t * 1000 + i + 1, i));
+                        wal.sync_to(seq);
+                    }
                 })
-                .collect();
-            for t in threads {
-                t.join().unwrap();
-            }
-            let bytes = fs::read(segment_path(dir.path(), 1)).unwrap();
-            assert_eq!(scan_segment(&bytes).records.len(), 100, "{mode:?}");
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
         }
+        let bytes = fs::read(segment_path(dir.path(), 1)).unwrap();
+        assert_eq!(scan_segment(&bytes).records.len(), 100);
     }
 
     #[test]
     fn writer_thread_batches_within_the_window() {
         let dir = TempDir::new("wal-window");
-        // A generous window: records enqueued together land in one batch.
-        let wal = Wal::open(
-            dir.path(),
-            1,
-            WalOptions {
-                group: 64,
-                window: Duration::from_millis(20),
-                ..WalOptions::default()
-            },
-        )
-        .unwrap();
+        // The window is the stalled flush: records enqueued while it runs
+        // land in one batch.
+        let wal = Wal::open(dir.path(), 1, options(64)).unwrap();
         // This log's own counters: sibling tests' logs write the
         // process-wide aggregate concurrently.
         let before = wal.stats().snapshot();
-        let mut last = 0;
-        for i in 1..=16u64 {
-            last = wal.enqueue(record(i, i));
-        }
+        let last = enqueue_behind_a_stalled_flush(&wal, 16);
         wal.sync_to(last);
         let delta = wal.stats().snapshot().delta_since(&before);
         assert_eq!(delta.records, 16);
@@ -969,6 +914,29 @@ mod tests {
     }
 
     #[test]
+    fn records_queued_behind_a_flush_share_the_next_batch() {
+        // Group commit without a batching window: the writer drains what
+        // queued up while its previous write + fsync ran, so 17 records
+        // take the stalled first batch plus at most one more.
+        let dir = TempDir::new("wal-queued");
+        let wal = Wal::open(dir.path(), 1, options(64)).unwrap();
+        let last = enqueue_behind_a_stalled_flush(&wal, 17);
+        assert_eq!(last, 17);
+        wal.sync_to(17);
+        let stats = wal.stats().snapshot();
+        assert_eq!(stats.records, 17);
+        assert!(
+            stats.batches <= 2,
+            "records queued behind one flush must share the next batch, got {} batches",
+            stats.batches
+        );
+        assert_eq!(
+            stats.writer_batches, stats.batches,
+            "the writer flushed them all"
+        );
+    }
+
+    #[test]
     fn full_ring_blocks_enqueue_without_dropping() {
         let dir = TempDir::new("wal-ring");
         // Capacity 4, big group: producers outrun the writer and must block.
@@ -979,7 +947,6 @@ mod tests {
                 WalOptions {
                     group: 8,
                     ring_capacity: 4,
-                    window: Duration::from_micros(0),
                     ..WalOptions::default()
                 },
             )
@@ -1012,19 +979,11 @@ mod tests {
     #[test]
     fn poisoned_writer_errors_every_parked_waiter_instead_of_hanging() {
         let dir = TempDir::new("wal-poison");
-        let wal = Arc::new(
-            Wal::open(
-                dir.path(),
-                1,
-                WalOptions {
-                    group: 64,
-                    window: Duration::from_millis(5),
-                    ..WalOptions::default()
-                },
-            )
-            .unwrap(),
-        );
+        let wal = Arc::new(Wal::open(dir.path(), 1, options(64)).unwrap());
         wal.shared().fail_next_flush.store(true, Ordering::Relaxed);
+        // Stall the writer on the segment mutex until every waiter has
+        // enqueued, so all three are pending when the failing flush lands.
+        let segment = wal.shared().lock_segment();
         let waiters: Vec<_> = (0..3u64)
             .map(|t| {
                 let wal = Arc::clone(&wal);
@@ -1034,6 +993,10 @@ mod tests {
                 })
             })
             .collect();
+        while wal.shared().lock_state().enqueued_seq < 3 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(segment);
         for w in waiters {
             let outcome = w.join();
             assert!(outcome.is_err(), "a parked waiter must surface the error");
@@ -1048,23 +1011,27 @@ mod tests {
     #[test]
     fn drop_drains_the_ring_and_joins_the_writer() {
         let dir = TempDir::new("wal-shutdown");
-        {
-            let wal = Wal::open(
-                dir.path(),
-                1,
-                WalOptions {
-                    group: 1024,
-                    window: Duration::from_millis(200),
-                    ..WalOptions::default()
-                },
-            )
-            .unwrap();
-            // Enqueue without syncing: the long window means these are most
-            // likely still in the ring when the Wal drops.
-            for i in 1..=32u64 {
-                wal.enqueue(record(i, i));
+        let wal = Wal::open(dir.path(), 1, options(1024)).unwrap();
+        // A helper stalls the writer on the segment mutex until the drop
+        // has raised the shutdown flag, so the records enqueued below are
+        // still in the ring when the Wal drops.
+        let shared = Arc::clone(wal.shared());
+        let (stalled, is_stalled) = std::sync::mpsc::channel();
+        let staller = std::thread::spawn(move || {
+            let segment = shared.lock_segment();
+            stalled.send(()).unwrap();
+            while !shared.lock_state().shutdown {
+                std::thread::sleep(Duration::from_millis(1));
             }
+            drop(segment);
+        });
+        is_stalled.recv().unwrap();
+        // Enqueue without syncing.
+        for i in 1..=32u64 {
+            wal.enqueue(record(i, i));
         }
+        drop(wal);
+        staller.join().unwrap();
         let bytes = fs::read(segment_path(dir.path(), 1)).unwrap();
         assert_eq!(
             scan_segment(&bytes).records.len(),

@@ -90,9 +90,8 @@ define_wal_stats! {
         "Group-commit flush batches (one write syscall + optional sync \
          each), regardless of who flushed them.",
     counter writer_batches:
-        "The subset of `batches` flushed by a dedicated writer thread (the \
-         `SF_WAL_WRITER=thread` path). Zero under the leader fallback and \
-         in buffered mode.",
+        "The subset of `batches` flushed by a dedicated writer thread: all \
+         of them when `group > 0`, zero in buffered mode.",
     gauge max_ring_depth:
         "High-water mark of the submission ring's depth (records queued \
          behind the writer at an enqueue). A gauge, not a counter: \

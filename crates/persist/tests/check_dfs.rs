@@ -30,7 +30,6 @@ type Map = ShardedMap<DurableMap<OptSpecFriendlyTree>>;
 fn wal_opts() -> WalOptions {
     WalOptions {
         group: 8,
-        window: Duration::ZERO,
         ..WalOptions::default()
     }
 }

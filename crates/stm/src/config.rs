@@ -51,16 +51,6 @@ pub struct StmConfig {
     /// yielding the CPU between attempts (important on machines with fewer
     /// cores than threads).
     pub yield_after_aborts: u32,
-    /// Flat-combined fast commit path: a commit-time-locking transaction
-    /// whose write set has at most this many entries publishes through the
-    /// STM's **combiner slot** — a single mutex that serializes small
-    /// committers so they hand off publication instead of repeatedly
-    /// fighting (and aborting) over version-lock CAS. Uncontended, the slot
-    /// is one CAS; contended, it turns the lock-grab storm into a queue.
-    /// `0` disables the path. Only used under
-    /// [`LockAcquisition::CommitTime`] (ETL transactions already hold their
-    /// locks when commit starts).
-    pub combine_write_sets: usize,
 }
 
 impl StmConfig {
@@ -73,7 +63,6 @@ impl StmConfig {
             elastic_window: 2,
             max_backoff_spins: 1 << 12,
             yield_after_aborts: 4,
-            combine_write_sets: 2,
         }
     }
 

@@ -20,10 +20,6 @@ pub enum AbortReason {
     CommitLocked,
     /// Read-set validation at commit failed.
     CommitValidation,
-    /// The flat-combining commit slot could not be acquired: the combined
-    /// publication path lost its spinning lock acquisition to a competing
-    /// combiner.
-    CombinerConflict,
     /// The user requested an explicit abort/retry.
     Explicit,
 }
@@ -38,7 +34,9 @@ impl AbortReason {
             AbortReason::WriteLocked => 3,
             AbortReason::CommitLocked => 4,
             AbortReason::CommitValidation => 5,
-            AbortReason::CombinerConflict => 6,
+            // 6 is retired: it marked conflicts of the removed flat-combining
+            // commit path. Never reuse it, so old flight-recorder dumps
+            // still decode.
             AbortReason::Explicit => 7,
         }
     }

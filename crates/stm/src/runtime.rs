@@ -22,12 +22,6 @@ pub struct Stm {
     config: StmConfig,
     stats: StatsRegistry,
     next_owner: AtomicU64,
-    /// The flat-combining slot: small-write-set CTL commits serialize their
-    /// publication here instead of fighting over version-lock CAS (see
-    /// [`StmConfig::combine_write_sets`]). Goes through the `parking_lot`
-    /// shim so checked builds feed it to the lock-order/race instrumentation
-    /// under a stable class name.
-    combiner: parking_lot::Mutex<()>,
 }
 
 impl Stm {
@@ -38,7 +32,6 @@ impl Stm {
             config,
             stats: StatsRegistry::default(),
             next_owner: AtomicU64::new(1),
-            combiner: parking_lot::Mutex::named((), "stm.combiner"),
         })
     }
 
@@ -152,9 +145,6 @@ impl ThreadCtx {
         let config = &self.stm.config;
         let clock = &self.stm.clock;
         let stats = &self.stats;
-        let combine = config.combine_write_sets > 0
-            && config.acquisition == crate::config::LockAcquisition::CommitTime
-            && kind != TxKind::ReadOnly;
         let flight = sf_obs::FlightRecorder::global();
         let mut attempt: u32 = 0;
         let mut reads_this_op: u64 = 0;
@@ -167,18 +157,11 @@ impl ThreadCtx {
                 self.owner_word,
                 config.elastic_window,
             );
-            if combine {
-                tx.set_combiner(&self.stm.combiner, config.combine_write_sets);
-            }
             let outcome = body(&mut tx);
             let committed = match outcome {
                 Ok(value) => match tx.commit() {
                     Ok(info) => {
                         stats.record_commit(info.read_set, info.write_set);
-                        if info.combined {
-                            // sf-lint: allow(relaxed-atomic, combined-commit telemetry counter; aggregated for reports only)
-                            stats.combined_commits.fetch_add(1, Ordering::Relaxed);
-                        }
                         if kind == TxKind::ReadOnly {
                             stats.record_scan_commit(info.read_set);
                         }
@@ -312,9 +295,41 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(cell.unsync_load(), 2000);
+        assert_eq!(cell.unsync_load(), 2000, "no increment may be lost");
         let s = stm.stats();
         assert_eq!(s.commits, 2000);
+        assert_eq!(s.abort_causes_total(), s.aborts, "causes partition aborts");
+    }
+
+    #[test]
+    fn combined_commits_preserve_the_counter_invariant_under_contention() {
+        // Contended 1-entry write sets under commit-time locking: every commit
+        // takes the ordinary lock-and-validate path, none goes through the
+        // retired combiner, and no increment is lost.
+        let stm = Stm::new(StmConfig::ctl());
+        let cell = Arc::new(TCell::new(0u64));
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let mut ctx = stm.register();
+                let cell = Arc::clone(&cell);
+                std::thread::spawn(move || {
+                    for _ in 0..500 {
+                        ctx.atomically(|tx| {
+                            let v = tx.read(&cell)?;
+                            tx.write(&cell, v + 1)
+                        });
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(cell.unsync_load(), 2000, "no increment may be lost");
+        let s = stm.stats();
+        assert_eq!(s.commits, 2000);
+        assert_eq!(s.combined_commits, 0, "retired counter stays 0");
+        assert_eq!(s.abort_combiner, 0, "retired cause never counts");
     }
 
     #[test]
@@ -449,108 +464,6 @@ mod tests {
         });
         assert_eq!(fired.get(), 1, "the aborted attempt's hook must not run");
         assert_eq!(version, 1);
-    }
-
-    #[test]
-    fn small_write_set_commits_through_the_combiner() {
-        // A 1-entry write set is at or under ctl()'s threshold, so the
-        // commit must publish through the combiner slot and be counted.
-        let stm = Stm::new(StmConfig::ctl());
-        let mut ctx = stm.register();
-        let cell = TCell::new(0u64);
-        ctx.atomically(|tx| {
-            let v = tx.read(&cell)?;
-            tx.write(&cell, v + 1)
-        });
-        assert_eq!(cell.unsync_load(), 1);
-        let s = stm.stats();
-        assert_eq!(s.commits, 1);
-        assert_eq!(s.combined_commits, 1, "the small write set combines");
-    }
-
-    #[test]
-    fn large_write_sets_and_disabled_config_never_combine() {
-        // A write set above the threshold stays on the plain path ...
-        let stm = Stm::new(StmConfig::ctl());
-        let mut ctx = stm.register();
-        let cells: Vec<TCell<u64>> = (0..4).map(TCell::new).collect();
-        let mut first = true;
-        ctx.atomically(|tx| {
-            for c in &cells {
-                let v = tx.read(c)?;
-                tx.write(c, v + 1)?;
-            }
-            if first {
-                first = false;
-                return tx.retry();
-            }
-            Ok(())
-        });
-        assert_eq!(stm.stats().combined_commits, 0);
-        // ... and combine_write_sets = 0 disables the path entirely.
-        let stm = Stm::new(StmConfig {
-            combine_write_sets: 0,
-            ..StmConfig::ctl()
-        });
-        let mut ctx = stm.register();
-        let cell = TCell::new(0u64);
-        let mut first = true;
-        ctx.atomically(|tx| {
-            let v = tx.read(&cell)?;
-            if first {
-                first = false;
-                return tx.retry();
-            }
-            tx.write(&cell, v + 1)
-        });
-        assert_eq!(stm.stats().combined_commits, 0);
-    }
-
-    #[test]
-    fn etl_configuration_never_engages_the_combiner() {
-        let stm = Stm::new(StmConfig::etl());
-        let mut ctx = stm.register();
-        let cell = TCell::new(0u64);
-        let mut first = true;
-        ctx.atomically(|tx| {
-            let v = tx.read(&cell)?;
-            if first {
-                first = false;
-                return tx.retry();
-            }
-            tx.write(&cell, v + 1)
-        });
-        assert_eq!(stm.stats().combined_commits, 0);
-    }
-
-    #[test]
-    fn combined_commits_preserve_the_counter_invariant_under_contention() {
-        let stm = Stm::new(StmConfig::ctl());
-        let cell = Arc::new(TCell::new(0u64));
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let mut ctx = stm.register();
-                let cell = Arc::clone(&cell);
-                std::thread::spawn(move || {
-                    for _ in 0..500 {
-                        ctx.atomically(|tx| {
-                            let v = tx.read(&cell)?;
-                            tx.write(&cell, v + 1)
-                        });
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(cell.unsync_load(), 2000, "no increment may be lost");
-        let s = stm.stats();
-        assert_eq!(s.commits, 2000);
-        assert_eq!(
-            s.combined_commits, 2000,
-            "every 1-entry write set publishes through the slot"
-        );
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! exactly the total. The partition is by transaction kind first — every
 //! read-only scan abort is `abort_scan_validation` — then by
 //! [`AbortReason`]: version/validation failures are `abort_read_validation`,
-//! lock-acquisition failures are `abort_lock_conflict`, flat-combining slot
-//! conflicts are `abort_combiner`, and user-requested retries are
-//! `abort_explicit`.
+//! lock-acquisition failures are `abort_lock_conflict`, and user-requested
+//! retries are `abort_explicit`. `abort_combiner` (like `combined_commits`)
+//! is a retired field that always reads 0.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -102,8 +102,9 @@ define_stats! {
     counter commits:
         "Committed transactions.",
     counter combined_commits:
-        "Committed transactions that published through the flat-combining \
-         slot (the contended small-write-set fast path).",
+        "Retired: always 0. Counted commits of the removed flat-combining \
+         commit path; kept because perfbench and the `BENCH_baseline.json` \
+         schema read it.",
     counter aborts:
         "Aborted attempts (all causes; the `abort_*` cause counters \
          partition this total).",
@@ -117,8 +118,9 @@ define_stats! {
         "Aborts of updating transactions that lost a version-lock race \
          (read/write/commit-time lock acquisition failure).",
     counter abort_combiner:
-        "Aborts of updating transactions whose flat-combining slot \
-         acquisition failed (combined-commit path conflict).",
+        "Retired: always 0. Counted conflicts of the removed flat-combining \
+         commit path; kept because perfbench and the `BENCH_baseline.json` \
+         schema read it.",
     counter abort_explicit:
         "Aborts of updating transactions requested explicitly by user code.",
     counter abort_scan_validation:
@@ -188,7 +190,6 @@ impl ThreadStats {
                 AbortReason::ReadLocked | AbortReason::WriteLocked | AbortReason::CommitLocked => {
                     &self.abort_lock_conflict
                 }
-                AbortReason::CombinerConflict => &self.abort_combiner,
                 AbortReason::Explicit => &self.abort_explicit,
             }
         };
@@ -212,7 +213,6 @@ impl StatsSnapshot {
     pub fn abort_causes_total(&self) -> u64 {
         self.abort_read_validation
             + self.abort_lock_conflict
-            + self.abort_combiner
             + self.abort_explicit
             + self.abort_scan_validation
     }
@@ -264,10 +264,10 @@ mod tests {
         let reg = StatsRegistry::default();
         let a = reg.register();
         a.commits.store(3, Ordering::Relaxed);
-        a.abort_combiner.store(2, Ordering::Relaxed);
+        a.abort_lock_conflict.store(2, Ordering::Relaxed);
         reg.reset();
         assert_eq!(reg.snapshot().commits, 0);
-        assert_eq!(reg.snapshot().abort_combiner, 0);
+        assert_eq!(reg.snapshot().abort_lock_conflict, 0);
     }
 
     #[test]
@@ -294,7 +294,6 @@ mod tests {
         t.record_abort(TxKind::Elastic, AbortReason::ReadLocked);
         t.record_abort(TxKind::Normal, AbortReason::WriteLocked);
         t.record_abort(TxKind::Normal, AbortReason::CommitLocked);
-        t.record_abort(TxKind::Normal, AbortReason::CombinerConflict);
         t.record_abort(TxKind::Normal, AbortReason::Explicit);
         t.record_abort(TxKind::ReadOnly, AbortReason::ReadVersion);
         t.record_abort(TxKind::ReadOnly, AbortReason::Explicit);
@@ -315,11 +314,11 @@ mod tests {
             dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
         }
         let s = reg.snapshot();
-        assert_eq!(s.aborts, 9);
+        assert_eq!(s.aborts, 8);
         assert_eq!(s.abort_causes_total(), s.aborts, "causes partition aborts");
         assert_eq!(s.abort_read_validation, 2);
         assert_eq!(s.abort_lock_conflict, 3);
-        assert_eq!(s.abort_combiner, 1);
+        assert_eq!(s.abort_combiner, 0, "retired cause never counts");
         assert_eq!(s.abort_explicit, 1);
         assert_eq!(s.abort_scan_validation, 2, "read-only aborts by kind");
         assert_eq!(s.explicit_aborts, 2, "legacy counter keeps both kinds");

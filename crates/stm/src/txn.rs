@@ -52,9 +52,6 @@ pub(crate) struct CommitInfo {
     /// from the global clock for an updating commit, or the (final, possibly
     /// extended) read version for a commit with an empty write set.
     pub commit_version: u64,
-    /// The attempt published through the flat-combining slot (the small
-    /// write-set fast path engaged under contention).
-    pub combined: bool,
 }
 
 /// Deferred action registered by user code, executed by the retry loop after
@@ -84,11 +81,6 @@ pub struct Transaction<'env> {
     write_set: Vec<WriteEntry<'env>>,
     commit_hooks: Vec<Hook<'env>>,
     abort_hooks: Vec<Hook<'env>>,
-    /// The STM's flat-combining slot, when the runtime enabled the combined
-    /// fast commit path for this attempt (CTL, updating kinds only).
-    combiner: Option<&'env parking_lot::Mutex<()>>,
-    /// Largest write set eligible for the combined path.
-    combine_threshold: usize,
     pub(crate) reads: u64,
     pub(crate) ureads: u64,
     pub(crate) writes: u64,
@@ -116,27 +108,12 @@ impl<'env> Transaction<'env> {
             write_set: Vec::with_capacity(8),
             commit_hooks: Vec::new(),
             abort_hooks: Vec::new(),
-            combiner: None,
-            combine_threshold: 0,
             reads: 0,
             ureads: 0,
             writes: 0,
             cuts: 0,
             finished: false,
         }
-    }
-
-    /// Enable the flat-combined fast commit path for this attempt: a commit
-    /// whose write set has at most `threshold` entries publishes while
-    /// holding `slot`, serializing with the other small committers instead
-    /// of racing them cell-by-cell (and aborting on a lost race). An
-    /// uncontended slot acquire is one CAS — noise next to validation —
-    /// while under contention the slot turns the lock-grab storm into a
-    /// queue.
-    pub(crate) fn set_combiner(&mut self, slot: &'env parking_lot::Mutex<()>, threshold: usize) {
-        debug_assert_eq!(self.acquisition, LockAcquisition::CommitTime);
-        self.combiner = Some(slot);
-        self.combine_threshold = threshold;
     }
 
     /// The kind (normal or elastic) of this attempt.
@@ -453,80 +430,27 @@ impl<'env> Transaction<'env> {
         true
     }
 
-    /// Combined-path lock pass: spin (bounded) on each write-set cell. Safe
-    /// because the caller holds the combiner slot, so at most one combined
-    /// committer spins at a time, and plain CTL committers only hold cell
-    /// locks for the instantaneous tick/validate/publish window — the bound
-    /// exists for the pathological case of a lock holder descheduled
-    /// mid-commit.
-    fn acquire_write_locks_spinning(&mut self) -> bool {
-        const SPIN_BOUND: u32 = 1 << 14;
-        for i in 0..self.write_set.len() {
-            let cell = self.write_set[i].cell;
-            chk::sched_point(chk::SchedEvent::Acquire);
-            let mut spins = 0u32;
-            loop {
-                match cell.try_lock(self.owner_word) {
-                    Ok(prev) => {
-                        chk::cell_locked(cell.addr());
-                        self.write_set[i].prev_lock = Some(prev);
-                        break;
-                    }
-                    Err(_) => {
-                        chk::sched_point(chk::SchedEvent::Spin);
-                        spins += 1;
-                        if spins > SPIN_BOUND {
-                            self.release_held_locks();
-                            return false;
-                        }
-                        std::hint::spin_loop();
-                    }
-                }
-            }
-        }
-        true
-    }
-
     /// Attempt to commit. On failure all held locks are released and the
     /// attempt counts as aborted; the caller re-executes the body.
     ///
-    /// Commit-time locking normally acquires every write lock with a single
-    /// one-shot `try_lock` pass and aborts on any conflict. When the runtime
-    /// enabled the **flat-combined fast path** (small write set, see
-    /// [`crate::StmConfig::combine_write_sets`]) the commit instead
-    /// publishes while holding the STM's combiner slot: small committers
-    /// hand off publication one after another rather than each fighting the
-    /// same version-lock CAS and aborting.
+    /// Commit-time locking acquires every write lock with a single one-shot
+    /// `try_lock` pass and aborts on any conflict (TL2's lock → validate →
+    /// publish); encounter-time locking already holds them.
     pub(crate) fn commit(&mut self) -> Result<CommitInfo, Abort> {
         debug_assert!(!self.finished);
         let mut info = CommitInfo {
             read_set: self.read_set.len(),
             write_set: self.write_set.len(),
             commit_version: self.rv,
-            combined: false,
         };
         if self.write_set.is_empty() {
             // Read-only transactions are serialized at their read version.
             self.finished = true;
             return Ok(info);
         }
-        let mut combined_guard = None;
-        if self.acquisition == LockAcquisition::CommitTime {
-            let combine = self.combiner.is_some() && self.write_set.len() <= self.combine_threshold;
-            if !combine && !self.acquire_write_locks_once() {
-                self.finished = true;
-                return Err(Abort::new(AbortReason::CommitLocked));
-            }
-            if combine {
-                let slot = self.combiner.expect("combined path requires a slot");
-                let guard = slot.lock();
-                if !self.acquire_write_locks_spinning() {
-                    self.finished = true;
-                    return Err(Abort::new(AbortReason::CombinerConflict));
-                }
-                combined_guard = Some(guard);
-                info.combined = true;
-            }
+        if self.acquisition == LockAcquisition::CommitTime && !self.acquire_write_locks_once() {
+            self.finished = true;
+            return Err(Abort::new(AbortReason::CommitLocked));
         }
         let wv = self.clock.tick();
         info.commit_version = wv;
@@ -547,7 +471,6 @@ impl<'env> Transaction<'env> {
             chk::cell_published(entry.cell.addr(), "txn.commit");
             entry.cell.write_and_unlock(entry.value, wv);
         }
-        drop(combined_guard);
         self.write_set.clear();
         self.finished = true;
         Ok(info)

@@ -59,24 +59,12 @@ fn assert_no_lost_update(config: StmConfig, label: &'static str) {
     assert!(report.schedules > 1, "{label}: explorer never branched");
 }
 
-/// Commit-time locking with the flat-combining fast path enabled (the
-/// paper's default configuration): small write sets publish through the
-/// combiner slot, so this explores combiner hand-off against a racing
-/// committer.
+/// Commit-time locking (the paper's default configuration): both
+/// committers fight over the version-lock CAS directly, and the loser of a
+/// lock or validation race aborts and retries.
 #[test]
-fn ctl_combined_commits_never_lose_updates() {
-    assert_no_lost_update(StmConfig::ctl(), "ctl+combiner");
-}
-
-/// The same increments with the combiner disabled: both committers fight
-/// over the version-lock CAS directly (pure CTL).
-#[test]
-fn ctl_direct_commits_never_lose_updates() {
-    let config = StmConfig {
-        combine_write_sets: 0,
-        ..StmConfig::ctl()
-    };
-    assert_no_lost_update(config, "ctl-direct");
+fn ctl_commits_never_lose_updates() {
+    assert_no_lost_update(StmConfig::ctl(), "ctl");
 }
 
 /// Encounter-time locking: the first transactional write takes the lock,

@@ -94,7 +94,7 @@ use std::sync::Arc;
 
 use sf_baselines::{AvlTree, NoRestructureTree, RedBlackTree, SeqMap, ZipTree};
 use sf_obs::{MetricSample, MetricsRegistry, SourceGuard};
-use sf_persist::{DurableMap, WalOptions, WriterMode};
+use sf_persist::{DurableMap, WalOptions};
 use sf_stm::{StatsSnapshot, Stm, StmConfig};
 use sf_tree::maintenance::{MaintenanceConfig, MaintenanceHandle};
 use sf_tree::{OptSpecFriendlyTree, ShardedMap, SpecFriendlyTree, TxMap, TxMapVersioned};
@@ -324,8 +324,8 @@ fn wal_env_enabled() -> bool {
     std::env::var("SF_WAL").is_ok_and(|v| v == "1")
 }
 
-/// WAL tuning from `SF_WAL_GROUP` / `SF_WAL_CKPT` / `SF_WAL_WRITER` /
-/// `SF_WAL_WINDOW_US` / `SF_WAL_RING` / `SF_WAL_CKPT_MS`.
+/// WAL tuning from `SF_WAL_GROUP` / `SF_WAL_CKPT` / `SF_WAL_RING` /
+/// `SF_WAL_CKPT_MS`.
 fn wal_options_from_env() -> WalOptions {
     fn parsed<T: std::str::FromStr>(var: &str) -> Option<T> {
         std::env::var(var).ok().and_then(|s| s.parse().ok())
@@ -334,14 +334,6 @@ fn wal_options_from_env() -> WalOptions {
     WalOptions {
         group: parsed("SF_WAL_GROUP").unwrap_or(defaults.group),
         auto_checkpoint: parsed("SF_WAL_CKPT").unwrap_or(defaults.auto_checkpoint),
-        writer: match std::env::var("SF_WAL_WRITER").as_deref() {
-            Ok("leader") => WriterMode::Leader,
-            Ok("thread") => WriterMode::Thread,
-            _ => defaults.writer,
-        },
-        window: parsed::<u64>("SF_WAL_WINDOW_US")
-            .map(Duration::from_micros)
-            .unwrap_or(defaults.window),
         ring_capacity: parsed::<usize>("SF_WAL_RING")
             .filter(|&n| n > 0)
             .unwrap_or(defaults.ring_capacity),
@@ -668,15 +660,10 @@ impl Backend {
                 MetricSample::new(name, value as f64).label("structure", structure.clone())
             };
             out.push(labelled("sf_stm_commits_total", stats.commits));
-            out.push(labelled(
-                "sf_stm_combined_commits_total",
-                stats.combined_commits,
-            ));
             out.push(labelled("sf_stm_aborts_total", stats.aborts));
             for (cause, value) in [
                 ("read_validation", stats.abort_read_validation),
                 ("lock_conflict", stats.abort_lock_conflict),
-                ("combiner", stats.abort_combiner),
                 ("explicit", stats.abort_explicit),
                 ("scan_validation", stats.abort_scan_validation),
             ] {

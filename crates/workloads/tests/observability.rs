@@ -32,18 +32,16 @@ fn abort_causes_partition_the_abort_total_on_both_sf_trees() {
         let stm = &result.stm;
         let causes = stm.abort_read_validation
             + stm.abort_lock_conflict
-            + stm.abort_combiner
             + stm.abort_explicit
             + stm.abort_scan_validation;
         assert_eq!(
             causes,
             stm.aborts,
             "{name}: cause counters must sum exactly to the abort total \
-             (read_validation={} lock_conflict={} combiner={} explicit={} \
+             (read_validation={} lock_conflict={} explicit={} \
              scan_validation={} aborts={})",
             stm.abort_read_validation,
             stm.abort_lock_conflict,
-            stm.abort_combiner,
             stm.abort_explicit,
             stm.abort_scan_validation,
             stm.aborts,
